@@ -36,7 +36,7 @@ from .instances import InstanceSpec, gen as gen_instance, unit_columns
 from .kernel import KernelParams, advance_chain_batch
 from .linalg import read_matrix, write_matrix
 from .parallel import map_trials
-from .report import SCHEMA_VERSION, ExperimentReport
+from .report import SCHEMA_VERSION, ExperimentReport, verdict
 from .rng import RngHandle
 from .rounding import rounding_experiment
 from .stats import cov_test, ks_test
@@ -123,16 +123,11 @@ def cmd_stationarity(args: argparse.Namespace) -> int:
     ]
     cov = cov_test(xs, sigma2 * np.eye(args.r), args.cov_tol)
     verdicts = {
-        "ks_radius": {"value": radius.p_value, "threshold": args.level, "op": ">=", "passed": radius.passed},
-        "cov_entrywise": {
-            "value": cov.max_abs_deviation, "threshold": args.cov_tol,
-            "op": "<=", "passed": cov.passed,
-        },
+        "ks_radius": verdict(radius.p_value, args.level, ">="),
+        "cov_entrywise": verdict(cov.max_abs_deviation, args.cov_tol, "<="),
     }
     for j, res in enumerate(coords):
-        verdicts[f"ks_coordinate_{j}"] = {
-            "value": res.p_value, "threshold": args.level, "op": ">=", "passed": res.passed,
-        }
+        verdicts[f"ks_coordinate_{j}"] = verdict(res.p_value, args.level, ">=")
     report = ExperimentReport(
         name="stationarity",
         spec={"r": args.r, "sigma": args.sigma, "runs": args.runs, "steps": args.steps, "level": args.level},
@@ -253,12 +248,7 @@ def cmd_banaszczyk(args: argparse.Namespace) -> int:
             "max_estimate": float(np.max([row["estimate"] for row in metrics])),
             "pass_fraction": frac,
         },
-        verdicts={
-            "estimate_below_threshold": {
-                "value": frac, "threshold": PASS_FRACTION, "op": ">=",
-                "passed": frac >= PASS_FRACTION,
-            }
-        },
+        verdicts={"estimate_below_threshold": verdict(frac, PASS_FRACTION, ">=")},
         timings={"total_seconds": elapsed},
     )
     if args.out:

@@ -107,6 +107,14 @@ def _map_blocks(fn, rng, samples: int) -> list:
     return [fn(gen, size) for size in plan]
 
 
+def _estimate(vals: np.ndarray, rng: RngHandle | np.random.Generator) -> McEstimate:
+    """Sample mean and standard error of the per-sample values."""
+    samples = vals.shape[0]
+    std_error = float(vals.std(ddof=1) / math.sqrt(samples)) if samples >= 2 else 0.0
+    seed = rng if isinstance(rng, RngHandle) else None
+    return McEstimate(float(vals.mean()), std_error, samples, seed)
+
+
 def disc_bruteforce(a: np.ndarray) -> tuple[float, np.ndarray]:
     """Exact discrepancy min over signings of ||A sigma||_inf, with an
     argmin, by enumerating the 2^(n-1) signings that fix sigma_1 = +1
@@ -188,13 +196,7 @@ def discG_mc(
         xi = gen.standard_normal((n, size))
         return np.abs(a @ (low @ xi)).max(axis=0, initial=0.0)
 
-    vals = np.concatenate(_map_blocks(block, rng, samples))
-    seed = rng if isinstance(rng, RngHandle) else None
-    if samples < 2:
-        return McEstimate(float(vals.mean()), 0.0, samples, seed)
-    return McEstimate(
-        float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples)), samples, seed
-    )
+    return _estimate(np.concatenate(_map_blocks(block, rng, samples)), rng)
 
 
 def online_discG(
@@ -326,10 +328,4 @@ def random_signing_baseline(
         signs = 1.0 - 2.0 * gen.integers(0, 2, size=(n, size))
         return np.abs(a @ signs).max(axis=0, initial=0.0)
 
-    vals = np.concatenate(_map_blocks(block, rng, trials))
-    seed = rng if isinstance(rng, RngHandle) else None
-    if trials < 2:
-        return McEstimate(float(vals.mean()), 0.0, trials, seed)
-    return McEstimate(
-        float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials)), trials, seed
-    )
+    return _estimate(np.concatenate(_map_blocks(block, rng, trials)), rng)

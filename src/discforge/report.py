@@ -10,12 +10,22 @@ to the values they gate.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 SCHEMA_VERSION = 1
 
-__all__ = ["ExperimentReport", "SCHEMA_VERSION"]
+__all__ = ["ExperimentReport", "SCHEMA_VERSION", "verdict"]
+
+_OPS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
+
+
+def verdict(value, threshold, op: str) -> dict:
+    """A verdict entry: the value, the threshold it is gated by, and
+    whether ``value op threshold`` holds."""
+    passed = bool(_OPS[op](value, threshold))
+    return {"value": value, "threshold": threshold, "op": op, "passed": passed}
 
 
 @dataclass

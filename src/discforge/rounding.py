@@ -20,7 +20,7 @@ from .errors import BadSizeError
 from .evals import discG_mc, random_signing_baseline
 from .linalg import gaussian_vector, top_eigvec
 from .parallel import map_trials
-from .report import ExperimentReport
+from .report import ExperimentReport, verdict
 from .rng import RngHandle, as_generator
 
 __all__ = [
@@ -225,25 +225,11 @@ def rounding_experiment(
     orbit_all = bool(all(t["gw_orbit"] and t["pca_orbit"] for t in metrics))
     max_planted = float(max(t["planted_discG"] for t in metrics))
     verdicts = {
-        "planted_coupling_zero": {
-            "value": max_planted, "threshold": PLANTED_DISCG_TOL,
-            "op": "<=", "passed": max_planted <= PLANTED_DISCG_TOL,
-        },
-        "orbit_membership": {
-            "value": orbit_all, "threshold": True, "op": "==", "passed": orbit_all,
-        },
-        "feasible_fraction": {
-            "value": frac_feasible, "threshold": PASS_FRACTION,
-            "op": ">=", "passed": frac_feasible >= PASS_FRACTION,
-        },
-        "gw_lower_bound_fraction": {
-            "value": frac_gw_low, "threshold": PASS_FRACTION,
-            "op": ">=", "passed": frac_gw_low >= PASS_FRACTION,
-        },
-        "pca_lower_bound_fraction": {
-            "value": frac_pca_low, "threshold": PASS_FRACTION,
-            "op": ">=", "passed": frac_pca_low >= PASS_FRACTION,
-        },
+        "planted_coupling_zero": verdict(max_planted, PLANTED_DISCG_TOL, "<="),
+        "orbit_membership": verdict(orbit_all, True, "=="),
+        "feasible_fraction": verdict(frac_feasible, PASS_FRACTION, ">="),
+        "gw_lower_bound_fraction": verdict(frac_gw_low, PASS_FRACTION, ">="),
+        "pca_lower_bound_fraction": verdict(frac_pca_low, PASS_FRACTION, ">="),
     }
     summary = {
         "signing_threshold": threshold,

@@ -23,10 +23,10 @@ from .errors import (
     InconsistentStreamError,
     NormTooLargeError,
     NotPsdError,
-    NotUnitError,
 )
+from .evals import coupling_from_units
 from .kernel import KernelParams, kernel_step
-from .linalg import check_correlation, psd_cholesky
+from .linalg import check_correlation
 from .rng import RngHandle
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 NORM_SLACK = 1e-12
-UNIT_ATOL = 1e-9
 CONSISTENCY_ATOL = 1e-10
 
 
@@ -66,7 +65,8 @@ class WalkState:
     """Accumulator, round index, and the (advancing) random stream.
 
     States are linear: walk_step returns a successor sharing the same
-    generator, so keep using the state it hands back.
+    accumulator (updated in place) and generator, so keep using the state
+    it hands back.
     """
 
     w: np.ndarray
@@ -92,31 +92,42 @@ def walk_init(config: WalkConfig) -> WalkState:
     return WalkState(w=w, t=0, rng=gen)
 
 
-def walk_step(state: WalkState, v: np.ndarray) -> tuple[np.ndarray, WalkState]:
-    """Process one incoming vector; returns the emitted unit vector and the
-    successor state.
+def _advance(
+    w: np.ndarray, v: np.ndarray, t: int, gen: np.random.Generator, step: np.ndarray
+) -> np.ndarray:
+    """One round in place: add v u^T to w and return the emitted unit u.
 
-    A zero vector contributes nothing to the accumulator, so it is answered
-    with the fixed unit vector e_1 without consuming randomness.
+    step (an m x r scratch buffer) is left holding v u^T. A zero vector
+    contributes nothing to the accumulator, so it is answered with the
+    fixed unit vector e_1 without consuming randomness.
     """
-    v = np.asarray(v, dtype=float)
-    m, r = state.w.shape
+    m, r = w.shape
     if v.shape != (m,):
         raise DimMismatchError(f"vector has shape {v.shape}, expected ({m},)")
     nsq = float(v @ v)
     norm = math.sqrt(nsq)
-    if norm > 1.0 + NORM_SLACK:
-        raise NormTooLargeError(f"||v|| = {norm:.12g} exceeds 1")
+    if not norm <= 1.0 + NORM_SLACK:  # also true for nan and inf
+        if not np.isfinite(v).all():
+            raise ValueError(f"v_{t} has non-finite entries")
+        raise NormTooLargeError(f"||v_{t}|| = {norm:.12g} exceeds 1")
     if nsq == 0.0:
+        step.fill(0.0)
         u = np.zeros(r)
         u[0] = 1.0
-        return u, WalkState(w=state.w, t=state.t + 1, rng=state.rng)
-    z = (state.w.T @ v) / nsq
-    params = KernelParams(r, sigma_star(r) ** 2 / nsq)
-    z_next = kernel_step(params, z, state.rng)
-    u = z_next - z
-    w_next = state.w + np.outer(v, u)
-    return u, WalkState(w=w_next, t=state.t + 1, rng=state.rng)
+        return u
+    z = (w.T @ v) / nsq
+    u = kernel_step(KernelParams(r, sigma_star(r) ** 2 / nsq), z, gen) - z
+    np.multiply(v[:, None], u[None, :], out=step)
+    w += step
+    return u
+
+
+def walk_step(state: WalkState, v: np.ndarray) -> tuple[np.ndarray, WalkState]:
+    """Process one incoming vector; returns the emitted unit vector and the
+    successor state, whose accumulator is state.w updated in place."""
+    v = np.asarray(v, dtype=float)
+    u = _advance(state.w, v, state.t, state.rng, np.empty_like(state.w))
+    return u, WalkState(w=state.w, t=state.t + 1, rng=state.rng)
 
 
 def walk_run(config: WalkConfig, vs: np.ndarray) -> WalkRun:
@@ -124,78 +135,40 @@ def walk_run(config: WalkConfig, vs: np.ndarray) -> WalkRun:
 
     row_norms[t] is the 2->inf norm of the signed sum after round t+1, and
     running_max[t] its maximum over rounds so far. The loop reuses its
-    m x r buffers (a fresh 5 MB allocation per round dominates large runs)
-    but performs the same arithmetic as iterating walk_step, so the
-    emitted vectors are identical.
+    m x r buffers (a fresh 5 MB allocation per round dominates large runs).
     """
     vs = np.asarray(vs, dtype=float)
     if vs.ndim != 2 or vs.shape[0] != config.m:
         raise DimMismatchError(f"adversary matrix has shape {vs.shape}, expected ({config.m}, T)")
     big_t = vs.shape[1]
     state = walk_init(config)
-    gen = state.rng
-    w = state.w
-    sd2 = sigma_star(config.r) ** 2
-    delta = np.zeros_like(w)  # signed sum, accumulated in place
-    step = np.empty_like(w)
+    delta = np.zeros_like(state.w)  # signed sum, accumulated in place
+    step = np.empty_like(state.w)
     sq = np.empty(config.m)
     us = np.empty((big_t, config.r))
     row_norms = np.empty(big_t)
-    running_max = np.empty(big_t)
-    best = 0.0
     for t in range(big_t):
-        v = vs[:, t]
-        nsq = float(v @ v)
-        norm = math.sqrt(nsq)
-        if norm > 1.0 + NORM_SLACK:
-            raise NormTooLargeError(f"||v_{t}|| = {norm:.12g} exceeds 1")
-        if nsq == 0.0:
-            us[t] = 0.0
-            us[t, 0] = 1.0
-        else:
-            z = (w.T @ v) / nsq
-            z_next = kernel_step(KernelParams(config.r, sd2 / nsq), z, gen)
-            us[t] = z_next - z
-            np.multiply(v[:, None], us[t][None, :], out=step)
-            w += step
-            delta += step
+        us[t] = _advance(state.w, vs[:, t], t, state.rng, step)
+        delta += step
         np.einsum("ij,ij->i", delta, delta, out=sq)
-        norm_t = math.sqrt(float(sq.max(initial=0.0)))
-        best = max(best, norm_t)
-        row_norms[t] = norm_t
-        running_max[t] = best
-    return WalkRun(us=us, row_norms=row_norms, running_max=running_max)
-
-
-def _check_unit_rows(us: np.ndarray) -> np.ndarray:
-    us = np.asarray(us, dtype=float)
-    if us.ndim != 2:
-        raise DimMismatchError(f"expected a 2-d stream, got shape {us.shape}")
-    norms = np.linalg.norm(us, axis=1)
-    if us.shape[0] and float(np.abs(norms - 1.0).max()) > UNIT_ATOL:
-        raise NotUnitError("stream rows must be unit vectors")
-    return us
+        row_norms[t] = math.sqrt(float(sq.max(initial=0.0)))
+    return WalkRun(us=us, row_norms=row_norms, running_max=np.maximum.accumulate(row_norms))
 
 
 def gram_of_stream(us: np.ndarray) -> list[np.ndarray]:
     """Nested Gram matrices of the prefixes of a unit-vector stream."""
-    us = _check_unit_rows(us)
-    full = us @ us.T
-    np.fill_diagonal(full, 1.0)
-    return [full[:t, :t].copy() for t in range(1, us.shape[0] + 1)]
+    full = coupling_from_units(us)
+    return [full[:t, :t].copy() for t in range(1, full.shape[0] + 1)]
 
 
-def stream_of_grams(
-    sigmas: list[np.ndarray], incremental: bool = False
-) -> np.ndarray:
+def stream_of_grams(sigmas: list[np.ndarray]) -> np.ndarray:
     """Recover a unit-vector stream whose prefix Grams match the given
     nested correlation matrices.
 
     Row t of the result is supported on the first t coordinates (it is the
-    last row of the rank-revealing Cholesky factor of the t-th matrix).
-    The default recomputes the factor from scratch each round; the
-    incremental path extends the previous factor by forward substitution
-    and exists to cross-check the recomputed one.
+    last row of the rank-revealing Cholesky factor of the t-th matrix). The
+    factor is extended by one row per matrix with forward substitution, so
+    round t costs O(t^2) as the stream arrives.
     """
     big_t = len(sigmas)
     us = np.zeros((big_t, big_t))
@@ -210,11 +183,8 @@ def stream_of_grams(
                 raise InconsistentStreamError(
                     f"matrix {t} does not restrict to matrix {t - 1}"
                 )
-        if incremental:
-            l_prev = _extend_cholesky(l_prev, sig)
-            us[t - 1, :t] = l_prev[t - 1]
-        else:
-            us[t - 1, :t] = psd_cholesky(sig)[t - 1]
+        l_prev = _extend_cholesky(l_prev, sig)
+        us[t - 1, :t] = l_prev[t - 1]
         prev = sig
     return us
 

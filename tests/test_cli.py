@@ -48,6 +48,16 @@ def test_walk_identity_stream(tmp_path):
     assert summary["schema"] == 1
 
 
+def test_walk_rejects_non_finite_input(tmp_path, capsys):
+    mat = tmp_path / "nan.mat"
+    mat.write_text("2 2\n0.5 nan\n0.5 0.5\n", encoding="utf-8")
+    rc = main([
+        "walk", "--input", str(mat), "--rank", "4", "--seed", "3", "--out", str(tmp_path / "run"),
+    ])
+    assert rc == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_eval_disc(tmp_path, capsys):
     mat = tmp_path / "a.mat"
     write_matrix(mat, np.array([[1.0, 1.0], [1.0, -1.0]]))

@@ -1,4 +1,4 @@
-from discforge.report import ExperimentReport
+from discforge.report import ExperimentReport, verdict
 from discforge.rng import RngHandle
 from discforge.rounding import rounding_experiment
 
@@ -22,6 +22,13 @@ def test_round_trip_is_lossless(tmp_path):
     assert loaded.reproducible_view() == report.reproducible_view()
     assert loaded.metrics == report.metrics
     assert loaded.passed
+
+
+def test_verdict_computes_passed_from_op():
+    assert verdict(2.5, 3.0, "<=") == {"value": 2.5, "threshold": 3.0, "op": "<=", "passed": True}
+    assert not verdict(0.9, 0.95, ">=")["passed"]
+    assert verdict(True, True, "==")["passed"]
+    assert not verdict(float("nan"), 1.0, "<=")["passed"]
 
 
 def test_passed_reflects_verdicts():

@@ -10,6 +10,7 @@ from discforge.errors import (
     RankTooSmallError,
 )
 from discforge.instances import unit_columns
+from discforge.linalg import psd_cholesky
 from discforge.rng import RngHandle
 from discforge.walk import (
     WalkConfig,
@@ -60,6 +61,20 @@ def test_step_rejects_long_vectors():
     state = walk_init(WalkConfig(m=2, r=2, seed=RngHandle(1)))
     with pytest.raises(NormTooLargeError):
         walk_step(state, np.array([1.0, 0.1]))
+
+
+def test_non_finite_input_is_rejected_before_the_kernel():
+    config = WalkConfig(m=3, r=2, seed=RngHandle(1))
+    for bad in (np.nan, np.inf):
+        vs = np.full((3, 4), 0.5)
+        vs[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            walk_run(config, vs)
+        with pytest.raises(ValueError, match="non-finite"):
+            walk_step(walk_init(config), vs[:, 2])
+    # finite entries whose squared norm overflows are merely too long
+    with np.errstate(over="ignore"), pytest.raises(NormTooLargeError):
+        walk_run(config, np.full((3, 1), 1e200))
 
 
 def test_outputs_are_unit_and_telescoping():
@@ -200,14 +215,16 @@ def test_stream_of_grams_round_trip_mixed_rank():
     assert np.abs(recon - target).max() < 1e-8
 
 
-def test_stream_of_grams_incremental_matches_full():
+def test_stream_of_grams_rows_match_psd_cholesky():
+    # the incrementally extended factor agrees with the from-scratch one
     gen = RngHandle(15).generator()
-    us_in = gen.standard_normal((10, 3))
+    us_in = gen.standard_normal((10, 4))
+    us_in[[2, 7]] = us_in[[1, 0]]  # a repeat before full rank: zero pivot mid-factor
     us_in /= np.linalg.norm(us_in, axis=1, keepdims=True)
     sigmas = gram_of_stream(us_in)
-    full = stream_of_grams(sigmas, incremental=False)
-    inc = stream_of_grams(sigmas, incremental=True)
-    assert np.abs(full - inc).max() < 1e-9
+    us_out = stream_of_grams(sigmas)
+    for t, sig in enumerate(sigmas):
+        assert np.abs(us_out[t, : t + 1] - psd_cholesky(sig)[t]).max() < 1e-9
 
 
 def test_stream_of_grams_rejects_inconsistent():
