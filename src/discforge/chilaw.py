@@ -1,6 +1,7 @@
 """Scaled chi distribution and the critical variance threshold.
 
-``ChiLaw(r, sigma2)`` is the law of ||g|| for g ~ N(0, sigma2 * I_r). The
+``ChiLaw(r, sigma2)`` is the law of ||g|| for g ~ N(0, sigma2 * I_r),
+``scipy.stats.chi`` with r degrees of freedom and scale sqrt(sigma2). The
 radial kernel is only well defined when the density mass at a reflected
 radius 1-s dominates the mass at s on [0, 1/2]; ``sigma_star`` gives the
 smallest standard deviation for which that holds and
@@ -12,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import chi
 
 from .errors import RankTooSmallError
 
@@ -65,19 +67,8 @@ def sigma_star(r: int) -> float:
 
 def chi_log_density(law: ChiLaw, s):
     """Log density, elementwise on arrays; -inf outside the support."""
-    r, sigma2 = law.r, law.sigma2
-    log_norm = -(0.5 * r - 1.0) * math.log(2.0) - math.lgamma(0.5 * r) - 0.5 * r * math.log(sigma2)
-    s = np.asarray(s, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(
-            s > 0.0,
-            (r - 1.0) * np.log(np.where(s > 0.0, s, 1.0)) - s * s / (2.0 * sigma2) + log_norm,
-            -np.inf,
-        )
-    if r == 1:
-        # s^0 = 1 keeps the density finite at the origin
-        out = np.where(s == 0.0, log_norm, out)
-    return out if out.ndim else float(out)
+    out = chi.logpdf(s, law.r, scale=math.sqrt(law.sigma2))
+    return out if np.ndim(out) else float(out)
 
 
 def chi_density(law: ChiLaw, s):
@@ -86,76 +77,10 @@ def chi_density(law: ChiLaw, s):
     return out if np.ndim(out) else float(out)
 
 
-def _lower_gamma_series(a: float, x: float) -> float:
-    """exp-scaled series for P(a, x), accurate for x < a + 1."""
-    term = 1.0 / a
-    total = term
-    n = a
-    for _ in range(10_000):
-        n += 1.0
-        term *= x / n
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    return total
-
-
-def _upper_gamma_cf(a: float, x: float) -> float:
-    """exp-scaled Lentz continued fraction for Q(a, x), for x >= a + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 10_000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h
-
-
-def gammainc_lower(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x).
-
-    Series expansion for x < a + 1, continued fraction for the upper tail
-    otherwise; both are scaled by exp(a ln x - x - lgamma(a)) so large
-    shapes do not overflow. Absolute error well below 1e-10.
-    """
-    if a <= 0.0:
-        raise ValueError(f"shape must be positive, got {a}")
-    if x <= 0.0:
-        return 0.0
-    lead = a * math.log(x) - x - math.lgamma(a)
-    if lead < -745.0:  # exp underflows; the answer saturates
-        return 1.0 if x > a else 0.0
-    if x < a + 1.0:
-        return math.exp(lead) * _lower_gamma_series(a, x)
-    return 1.0 - math.exp(lead) * _upper_gamma_cf(a, x)
-
-
 def chi_cdf(law: ChiLaw, s):
     """CDF of the scaled chi law; accepts scalars or arrays."""
-
-    def scalar(v: float) -> float:
-        if v <= 0.0:
-            return 0.0
-        return gammainc_lower(0.5 * law.r, v * v / (2.0 * law.sigma2))
-
-    if np.ndim(s) == 0:
-        return scalar(float(s))
-    return np.array([scalar(float(v)) for v in np.asarray(s, dtype=float).ravel()]).reshape(
-        np.shape(s)
-    )
+    out = chi.cdf(s, law.r, scale=math.sqrt(law.sigma2))
+    return out if np.ndim(out) else float(out)
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,11 @@ def _emit(args: argparse.Namespace, payload: dict) -> None:
 
 
 def _seed_handle(args: argparse.Namespace) -> RngHandle:
-    return RngHandle(args.seed, getattr(args, "stream_id", 0))
+    return RngHandle(args.seed, args.stream_id)
+
+
+def _seed_record(args: argparse.Namespace) -> dict:
+    return {"seed": args.seed, "stream": args.stream_id}
 
 
 def cmd_walk(args: argparse.Namespace) -> int:
@@ -93,7 +97,7 @@ def cmd_walk(args: argparse.Namespace) -> int:
         "schema": SCHEMA_VERSION,
         "experiment": "walk",
         "spec": {"input": str(args.input), "m": vs.shape[0], "t": vs.shape[1], "rank": args.rank},
-        "seed": {"seed": args.seed, "stream": getattr(args, "stream_id", 0)},
+        "seed": _seed_record(args),
         "summary": {
             "final_disc_2inf": float(run.running_max[-1]) if run.us.shape[0] else 0.0
         },
@@ -131,7 +135,7 @@ def cmd_stationarity(args: argparse.Namespace) -> int:
     report = ExperimentReport(
         name="stationarity",
         spec={"r": args.r, "sigma": args.sigma, "runs": args.runs, "steps": args.steps, "level": args.level},
-        seed={"seed": args.seed, "stream": getattr(args, "stream_id", 0)},
+        seed=_seed_record(args),
         metrics=[{"ks_radius": radius.to_dict(), "ks_coords": [c.to_dict() for c in coords]}],
         summary={"ks_radius": radius.to_dict(), "cov_max_abs_deviation": cov.max_abs_deviation},
         verdicts=verdicts,
@@ -173,14 +177,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         paths.append(args.coupling)
         est = discG_mc(a, read_matrix(args.coupling), args.samples, _seed_handle(args))
         value, std_error, samples = est.mean, est.std_error, est.samples
-        seed = {"seed": args.seed, "stream": getattr(args, "stream_id", 0)}
+        seed = _seed_record(args)
     elif op == "online-discg":
         if not args.stream or args.seed is None:
             raise DiscforgeError("online-discg needs --stream and --seed")
         paths.append(args.stream)
         est = online_discG(a, read_matrix(args.stream), args.samples, _seed_handle(args))
         value, std_error, samples = est.mean, est.std_error, est.samples
-        seed = {"seed": args.seed, "stream": getattr(args, "stream_id", 0)}
+        seed = _seed_record(args)
     else:
         raise DiscforgeError(f"unknown evaluator {op!r}")
     _emit(
@@ -240,7 +244,7 @@ def cmd_banaszczyk(args: argparse.Namespace) -> int:
             "m": args.m, "t": args.t, "delta": args.delta, "rank": rank,
             "samples": args.samples, "trials": args.trials,
         },
-        seed={"seed": args.seed, "stream": getattr(args, "stream_id", 0)},
+        seed=_seed_record(args),
         metrics=metrics,
         summary={
             "threshold": threshold,

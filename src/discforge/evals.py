@@ -84,6 +84,11 @@ def _check_unit_rows(u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"Monte Carlo sample count must be at least 1, got {samples}")
+
+
 def _block_plan(samples: int, block: int = MC_BLOCK) -> list[int]:
     sizes = [block] * (samples // block)
     if samples % block:
@@ -183,6 +188,7 @@ def discG_mc(
     rng: RngHandle | np.random.Generator = RngHandle(0),
 ) -> McEstimate:
     """Monte Carlo estimate of E ||A g||_inf for g ~ N(0, Sigma)."""
+    _check_samples(samples)
     a = np.asarray(a, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     n = a.shape[1] if a.ndim == 2 else -1
@@ -211,6 +217,7 @@ def online_discG(
     The same Gaussian samples are reused across all prefixes, so the
     per-prefix means are comparable and their maximum is stable.
     """
+    _check_samples(samples)
     vs = np.asarray(vs, dtype=float)
     us = np.asarray(us, dtype=float)
     if vs.ndim != 2 or us.ndim != 2 or vs.shape[1] != us.shape[0]:
@@ -319,6 +326,7 @@ def random_signing_baseline(
     rng: RngHandle | np.random.Generator = RngHandle(0),
 ) -> McEstimate:
     """Monte Carlo mean of ||A sigma||_inf over uniform random signings."""
+    _check_samples(trials)
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise DimMismatchError(f"expected a matrix, got shape {a.shape}")

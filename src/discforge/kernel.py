@@ -182,7 +182,9 @@ def kernel_step_batch(
     """Advance N independent states (rows of xs) by one kernel step each.
 
     Distributionally identical to mapping kernel_step over the rows, but
-    vectorized; used by the large stationarity experiments.
+    vectorized; used by the large stationarity experiments. The rare rows
+    (at the origin, or whose slide draw is parallel to x) go through the
+    scalar slice code.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != params.r:
@@ -195,15 +197,14 @@ def kernel_step_batch(
     mid = (t >= 0.5) & (t < 1.0)
     p = np.zeros(n)
     p[t < 0.5] = 1.0
-    if np.any(mid):
-        tm = t[mid]
-        pm = np.exp(
-            (params.r - 1.0) * (np.log1p(-tm) - np.log(tm))
-            + (2.0 * tm - 1.0) / (2.0 * params.sigma2)
-        )
-        if float(pm.max(initial=0.0)) > 1.0 + CLAMP_TOL:
-            raise BadVarianceError("reflection weight exceeds 1; variance too small")
-        p[mid] = np.minimum(pm, 1.0)
+    tm = t[mid]
+    pm = np.exp(
+        (params.r - 1.0) * (np.log1p(-tm) - np.log(tm))
+        + (2.0 * tm - 1.0) / (2.0 * params.sigma2)
+    )
+    if float(pm.max(initial=0.0)) > 1.0 + CLAMP_TOL:
+        raise BadVarianceError("reflection weight exceeds 1; variance too small")
+    p[mid] = np.minimum(pm, 1.0)
 
     coin = gen.random(n)
     gauss = gen.standard_normal(xs.shape)
@@ -213,41 +214,24 @@ def kernel_step_batch(
     reflect = (coin < p) & ~origin
     slide = ~reflect & ~origin
 
-    if np.any(origin):
-        g = gauss[origin]
-        ng = np.linalg.norm(g, axis=1, keepdims=True)
-        bad = ng[:, 0] <= 1e-12
-        for _ in range(MAX_REDRAWS):
-            if not np.any(bad):
-                break
-            g[bad] = gen.standard_normal((int(bad.sum()), params.r))
-            ng = np.linalg.norm(g, axis=1, keepdims=True)
-            bad = ng[:, 0] <= 1e-12
-        ys[origin] = g / ng
+    for i in np.flatnonzero(origin):
+        ys[i] = slice_sample(SliceSpec(xs[i], 1.0), gen)
 
-    if np.any(reflect):
-        tr = t[reflect]
-        ys[reflect] = ((tr - 1.0) / tr)[:, None] * xs[reflect]
+    tr = t[reflect]
+    ys[reflect] = ((tr - 1.0) / tr)[:, None] * xs[reflect]
 
-    if np.any(slide):
-        xv = xs[slide]
-        tv = t[slide]
-        lam = -1.0 / (2.0 * tv)
-        x_hat = xv / tv[:, None]
-        g = gauss[slide]
-        w = g - np.sum(g * x_hat, axis=1, keepdims=True) * x_hat
-        nw = np.linalg.norm(w, axis=1)
-        bad = nw <= 1e-12
-        for _ in range(MAX_REDRAWS):
-            if not np.any(bad):
-                break
-            g2 = gen.standard_normal((int(bad.sum()), params.r))
-            w2 = g2 - np.sum(g2 * x_hat[bad], axis=1, keepdims=True) * x_hat[bad]
-            w[bad] = w2
-            nw[bad] = np.linalg.norm(w2, axis=1)
-            bad = nw <= 1e-12
-        w /= nw[:, None]
-        ys[slide] = xv + lam[:, None] * x_hat + np.sqrt(1.0 - lam * lam)[:, None] * w
+    xv = xs[slide]
+    tv = t[slide]
+    lam = -1.0 / (2.0 * tv)
+    x_hat = xv / tv[:, None]
+    g = gauss[slide]
+    w = g - np.sum(g * x_hat, axis=1, keepdims=True) * x_hat
+    nw = np.linalg.norm(w, axis=1)
+    for i in np.flatnonzero(nw <= 1e-12):
+        w[i] = _orthogonal_unit(x_hat[i], gen)
+        nw[i] = 1.0
+    w /= nw[:, None]
+    ys[slide] = xv + lam[:, None] * x_hat + np.sqrt(1.0 - lam * lam)[:, None] * w
 
     return ys
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,6 +34,8 @@ __all__ = [
     "shift_orbit_index",
     "spencer_rows",
     "komlos_rows",
+    "Setting",
+    "SETTINGS",
     "rounding_experiment",
 ]
 
@@ -156,21 +159,41 @@ def komlos_rows(n: int) -> int:
     return int(10.0 * math.log(n))
 
 
+@dataclass(frozen=True)
+class Setting:
+    """One normalization setting: the row count m(n), the scale c of
+    A' = A / (c sqrt(ln n)), the feasibility check on A', and the rate(n)
+    and frozen factor of the signing lower bound factor * rate(n)."""
+
+    rows: Callable[[int], int]
+    scale: float
+    feasible: Callable[[np.ndarray], bool]
+    rate: Callable[[int], float]
+    factor: float
+
+    def normalize(self, a: np.ndarray, n: int) -> np.ndarray:
+        return a / (self.scale * math.sqrt(math.log(n)))
+
+
+SETTINGS = {
+    "spencer": Setting(
+        spencer_rows, SPENCER_SCALE, lambda a: np.abs(a).max() <= 1.0, math.sqrt, SPENCER_GW_FACTOR
+    ),
+    "komlos": Setting(
+        komlos_rows, KOMLOS_SCALE, lambda a: np.linalg.norm(a, axis=0).max() <= 1.0,
+        lambda n: math.sqrt(n / math.log(n)), KOMLOS_GW_FACTOR,
+    ),
+}
+
+
 def _trial(
-    setting: str, n: int, rng: RngHandle | np.random.Generator,
+    setting: Setting, n: int, rng: RngHandle | np.random.Generator,
     mc_samples: int, baseline_samples: int,
 ) -> dict:
-    if setting == "spencer":
-        m, scale = spencer_rows(n), SPENCER_SCALE
-    else:
-        m, scale = komlos_rows(n), KOMLOS_SCALE
+    m = setting.rows(n)
     gen = as_generator(rng)
     inst = make_planted(m, n, gen)
-    a_scaled = inst.a / (scale * math.sqrt(math.log(n)))
-    if setting == "spencer":
-        feasible = float(np.abs(a_scaled).max()) <= 1.0
-    else:
-        feasible = float(np.linalg.norm(a_scaled, axis=0).max()) <= 1.0
+    a_scaled = setting.normalize(inst.a, n)
     w = half_ones(n)
     sig_gw = gw_round(inst.sigma, gen)
     sig_pca = pca_round(inst.sigma, init=inst.c + 1e-3 * inst.s)
@@ -178,7 +201,7 @@ def _trial(
     planted = discG_mc(a_scaled, inst.sigma, mc_samples, gen)
     return {
         "m": m,
-        "feasible": bool(feasible),
+        "feasible": bool(setting.feasible(a_scaled)),
         "gw_linf": float(np.abs(a_scaled @ sig_gw).max()),
         "pca_linf": float(np.abs(a_scaled @ sig_pca).max()),
         "gw_orbit": shift_orbit_index(sig_gw, w) is not None,
@@ -205,20 +228,16 @@ def rounding_experiment(
     feasible for their setting, and the rounded signings incur at least
     the frozen lower-bound threshold, all in at least 95% of trials.
     """
-    if setting not in ("spencer", "komlos"):
+    if setting not in SETTINGS:
         raise ValueError(f"unknown setting {setting!r}")
     if n % 4 != 2 or n < 6:
         raise BadSizeError(f"need n = 2 (mod 4), n >= 6; got {n}")
+    rules = SETTINGS[setting]
     metrics = map_trials(
-        lambda k: _trial(setting, n, rng.substream(k), mc_samples, baseline_samples),
+        lambda k: _trial(rules, n, rng.substream(k), mc_samples, baseline_samples),
         range(trials),
     )
-    if setting == "spencer":
-        scale = SPENCER_SCALE
-        threshold = SPENCER_GW_FACTOR * math.sqrt(n)
-    else:
-        scale = KOMLOS_SCALE
-        threshold = KOMLOS_GW_FACTOR * math.sqrt(n / math.log(n))
+    threshold = rules.factor * rules.rate(n)
     frac_feasible = float(np.mean([t["feasible"] for t in metrics]))
     frac_gw_low = float(np.mean([t["gw_linf"] >= threshold for t in metrics]))
     frac_pca_low = float(np.mean([t["pca_linf"] >= threshold for t in metrics]))
@@ -245,7 +264,7 @@ def rounding_experiment(
             "setting": setting,
             "n": n,
             "m": metrics[0]["m"] if metrics else None,
-            "c_scale": scale,
+            "c_scale": rules.scale,
             "trials": trials,
         },
         seed={"seed": rng.seed, "stream": rng.stream},

@@ -154,3 +154,5 @@ def test_usage_errors(tmp_path):
     mat = tmp_path / "a.mat"
     write_matrix(mat, np.eye(2))
     assert main(["eval", "discg", "--input", str(mat)]) == 2  # missing coupling/seed
+    assert main(["eval", "discg", "--input", str(mat), "--coupling", str(mat),
+                 "--samples", "-3", "--seed", "4"]) == 2

@@ -267,3 +267,15 @@ def test_random_signing_baseline_planted_scale():
     inst = make_planted(m, n, RngHandle(54))
     est = random_signing_baseline(inst.a, 400, RngHandle(55))
     assert est.mean <= 4.0 * math.sqrt(n * math.log(n))
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_monte_carlo_evaluators_reject_sample_counts_below_one(count):
+    a = np.eye(2)
+    for estimate in (
+        lambda: discG_mc(a, np.eye(2), count, RngHandle(56)),
+        lambda: random_signing_baseline(a, count, RngHandle(57)),
+        lambda: online_discG(a, unit_rows(2, 2, 58), count, RngHandle(59)),
+    ):
+        with pytest.raises(ValueError, match=f"got {count}$"):
+            estimate()

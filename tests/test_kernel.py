@@ -189,6 +189,13 @@ def test_advance_chain_batch_shape():
     params = KernelParams(2, 0.25)
     out = advance_chain_batch(params, np.zeros((10, 2)), 5, RngHandle(8))
     assert out.shape == (10, 2)
+    # origin rows interleaved with reflecting, mixed and sliding rows
+    xs = np.zeros((8, 2))
+    xs[1::2] = [[0.3, 0.0], [0.0, -0.7], [1.5, 2.0], [-0.4, 0.4]]
+    ys = kernel_step_batch(params, xs, RngHandle(10))
+    assert np.abs(np.linalg.norm(ys - xs, axis=1) - 1.0).max() <= 1e-12
+    from_origin = {tuple(y) for y in ys[::2]}
+    assert len(from_origin) == 4
 
 
 def test_bad_variance_rejected_at_step():

@@ -17,37 +17,28 @@ Last run: seed 20260811, 400 trials per setting, n=502.
 Frozen: SPENCER_GW_FACTOR = 0.10, KOMLOS_GW_FACTOR = 0.14.
 """
 import argparse
-import math
 
 import numpy as np
 
 from discforge.rng import RngHandle
-from discforge.rounding import (
-    gw_round,
-    komlos_rows,
-    make_planted,
-    pca_round,
-    spencer_rows,
-)
+from discforge.rounding import SETTINGS, gw_round, make_planted, pca_round
 
 
-def pilot(setting: str, scale: float, n: int, trials: int, seed: RngHandle) -> None:
-    m = spencer_rows(n) if setting == "spencer" else komlos_rows(n)
+def pilot(setting: str, n: int, trials: int, seed: RngHandle) -> None:
+    rules = SETTINGS[setting]
+    m = rules.rows(n)
     gw_vals, pca_vals, feas = [], [], []
     for k in range(trials):
         gen = seed.substream(k).generator()
         inst = make_planted(m, n, gen)
-        ap = inst.a / (scale * math.sqrt(math.log(n)))
-        if setting == "spencer":
-            feas.append(np.abs(ap).max() <= 1.0)
-        else:
-            feas.append(np.linalg.norm(ap, axis=0).max() <= 1.0)
+        ap = rules.normalize(inst.a, n)
+        feas.append(rules.feasible(ap))
         sig_gw = gw_round(inst.sigma, gen)
         sig_pca = pca_round(inst.sigma, init=inst.c + 1e-3 * inst.s)
         gw_vals.append(np.abs(ap @ sig_gw).max())
         pca_vals.append(np.abs(ap @ sig_pca).max())
-    denom = math.sqrt(n) if setting == "spencer" else math.sqrt(n / math.log(n))
-    print(f"--- {setting} n={n} m={m} scale={scale} trials={trials}")
+    denom = rules.rate(n)
+    print(f"--- {setting} n={n} m={m} scale={rules.scale} trials={trials}")
     print(f"  feasible fraction: {np.mean(feas):.4f}")
     for name, vals in (("gw", np.array(gw_vals)), ("pca", np.array(pca_vals))):
         ratios = vals / denom
@@ -62,8 +53,8 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=20260811)
     args = ap.parse_args()
     seed = RngHandle(args.seed)
-    pilot("spencer", 3.0, args.n, args.trials, seed.substream(1))
-    pilot("komlos", 5.0, args.n, args.trials, seed.substream(2))
+    pilot("spencer", args.n, args.trials, seed.substream(1))
+    pilot("komlos", args.n, args.trials, seed.substream(2))
 
 
 if __name__ == "__main__":
