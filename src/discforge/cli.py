@@ -36,7 +36,7 @@ from .instances import InstanceSpec, gen as gen_instance, unit_columns
 from .kernel import KernelParams, advance_chain_batch
 from .linalg import read_matrix, write_matrix
 from .parallel import map_trials
-from .report import SCHEMA_VERSION, ExperimentReport, verdict
+from .report import SCHEMA_VERSION, ExperimentReport, check_trials, verdict
 from .rng import RngHandle
 from .rounding import rounding_experiment
 from .stats import cov_test, ks_test
@@ -57,7 +57,7 @@ def _digest(*paths: str) -> str:
 
 def _emit(args: argparse.Namespace, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if getattr(args, "out", None) and not Path(args.out).is_dir():
+    if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     print(text)
 
@@ -226,6 +226,7 @@ def _banaszczyk_trial(
 
 
 def cmd_banaszczyk(args: argparse.Namespace) -> int:
+    check_trials(args.trials)
     rank = args.rank or banaszczyk_rank(args.m, args.t, args.delta)
     handle = _seed_handle(args)
     threshold = BANASZCZYK_FACTOR * math.sqrt(math.log(2.0 * args.m * args.t / args.delta))

@@ -1,9 +1,10 @@
 """Unit-increment Markov kernel on R^r with a prescribed Gaussian
 stationary law, and the sphere-slice sampler it is built from.
 
-Every transition moves by exactly a unit vector. Writing t = ||x||, the
-next point keeps either the current radius (a uniform point of the slice
-at radius t) or reflects to radius 1-t (the unique such point when x is
+Every transition moves by exactly a unit vector, and every sampler here
+returns that unit increment u: the next state is x + u. Writing t = ||x||,
+the next point keeps either the current radius (a uniform point of the
+slice at radius t) or reflects to radius 1-t (the step -x/t when x is
 nonzero). The reflection weight chi(1-t)/chi(t) is a probability exactly
 when the variance parameter is at least sigma_star(r)^2.
 """
@@ -65,7 +66,7 @@ class SliceSpec:
 
 def _axis_offset(norm_x: float, s: float) -> float:
     """Signed component along x/||x|| of the unit step reaching radius s."""
-    return (s * s - norm_x * norm_x - 1.0) / (2.0 * norm_x)
+    return ((s - norm_x) * (s + norm_x) - 1.0) / (2.0 * norm_x)
 
 
 def slice_feasible(spec: SliceSpec) -> bool:
@@ -73,19 +74,20 @@ def slice_feasible(spec: SliceSpec) -> bool:
 
     Equivalent to (||x|| - 1)^2 <= s^2 <= (||x|| + 1)^2, checked with a
     small additive slack so boundary slices built in floating point (the
-    single-point cases) stay feasible.
+    single-point cases) stay feasible. A radius or state norm that is not
+    finite (||x||^2 overflows) admits no step.
     """
     x = np.asarray(spec.x, dtype=float)
     s = float(spec.s)
-    if s < 0.0:
-        return False
     t = float(np.linalg.norm(x))
+    if not (0.0 <= s < math.inf and t < math.inf):
+        return False
     slack = FEAS_ATOL * max(1.0, s * s, t * t)
     return (t - 1.0) ** 2 <= s * s + slack and s * s <= (t + 1.0) ** 2 + slack
 
 
 def _orthogonal_unit(x_hat: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Uniform unit vector orthogonal to x_hat (unit), by projection."""
+    """Uniform unit vector orthogonal to x_hat (unit or zero), by projection."""
     for _ in range(MAX_REDRAWS):
         g = gen.standard_normal(x_hat.shape[0])
         w = g - (g @ x_hat) * x_hat
@@ -96,12 +98,12 @@ def _orthogonal_unit(x_hat: np.ndarray, gen: np.random.Generator) -> np.ndarray:
 
 
 def slice_sample(spec: SliceSpec, rng: RngHandle | np.random.Generator) -> np.ndarray:
-    """Uniform point y with ||y - x|| = 1 and ||y|| = s.
+    """Uniform unit step u with ||x + u|| = s.
 
-    For x = 0 the slice is the whole unit sphere scaled by s. Otherwise
-    the step decomposes into a fixed component along x and a uniform
-    direction orthogonal to it; at the feasibility boundary the
-    orthogonal part vanishes and the slice is a single point.
+    For x = 0 the step is uniform on the unit sphere. Otherwise it
+    decomposes into a fixed component along x and a uniform direction
+    orthogonal to it; at the feasibility boundary the orthogonal part
+    vanishes and the slice is a single point.
     """
     if not slice_feasible(spec):
         raise InfeasibleSliceError(f"no unit step from ||x||={np.linalg.norm(spec.x):.6g} reaches radius {spec.s}")
@@ -110,19 +112,13 @@ def slice_sample(spec: SliceSpec, rng: RngHandle | np.random.Generator) -> np.nd
     gen = as_generator(rng)
     t = float(np.linalg.norm(x))
     if t == 0.0:
-        for _ in range(MAX_REDRAWS):
-            g = gen.standard_normal(x.shape[0])
-            ng = np.linalg.norm(g)
-            if ng > 1e-12:
-                return (s / ng) * g
-        raise InfeasibleSliceError("degenerate Gaussian draws at x = 0")
+        return _orthogonal_unit(x, gen)
     lam = min(1.0, max(-1.0, _axis_offset(t, s)))
     x_hat = x / t
     ortho = 1.0 - lam * lam
     if ortho <= 0.0:
-        return x + lam * x_hat
-    w = _orthogonal_unit(x_hat, gen)
-    return x + lam * x_hat + math.sqrt(ortho) * w
+        return lam * x_hat
+    return lam * x_hat + math.sqrt(ortho) * _orthogonal_unit(x_hat, gen)
 
 
 def _reflection_weight(params: KernelParams, t: float) -> float:
@@ -141,7 +137,7 @@ def _reflection_weight(params: KernelParams, t: float) -> float:
 def kernel_step(
     params: KernelParams, x: np.ndarray, rng: RngHandle | np.random.Generator
 ) -> np.ndarray:
-    """One transition of the unit-increment kernel from x."""
+    """Unit increment u of one kernel transition; the next state is x + u."""
     x = np.asarray(x, dtype=float)
     if x.shape != (params.r,):
         raise DimMismatchError(f"state has shape {x.shape}, expected ({params.r},)")
@@ -149,12 +145,8 @@ def kernel_step(
     t = float(np.linalg.norm(x))
     if t == 0.0:
         return slice_sample(SliceSpec(x, 1.0), gen)
-    if t < 0.5:
-        return ((t - 1.0) / t) * x
-    if t < 1.0:
-        if gen.random() < _reflection_weight(params, t):
-            return ((t - 1.0) / t) * x
-        return slice_sample(SliceSpec(x, t), gen)
+    if t < 0.5 or (t < 1.0 and gen.random() < _reflection_weight(params, t)):
+        return x / -t
     return slice_sample(SliceSpec(x, t), gen)
 
 
@@ -172,14 +164,14 @@ def run_chain(
     traj = np.empty((steps + 1, params.r))
     traj[0] = x0
     for k in range(steps):
-        traj[k + 1] = kernel_step(params, traj[k], gen)
+        traj[k + 1] = traj[k] + kernel_step(params, traj[k], gen)
     return traj
 
 
 def kernel_step_batch(
     params: KernelParams, xs: np.ndarray, rng: RngHandle | np.random.Generator
 ) -> np.ndarray:
-    """Advance N independent states (rows of xs) by one kernel step each.
+    """Unit increments (rows) of one kernel step from each state (row) of xs.
 
     Distributionally identical to mapping kernel_step over the rows, but
     vectorized; used by the large stationarity experiments. The rare rows
@@ -208,22 +200,20 @@ def kernel_step_batch(
 
     coin = gen.random(n)
     gauss = gen.standard_normal(xs.shape)
-    ys = np.empty_like(xs)
+    us = np.empty_like(xs)
 
     origin = t == 0.0
     reflect = (coin < p) & ~origin
     slide = ~reflect & ~origin
 
     for i in np.flatnonzero(origin):
-        ys[i] = slice_sample(SliceSpec(xs[i], 1.0), gen)
+        us[i] = slice_sample(SliceSpec(xs[i], 1.0), gen)
 
-    tr = t[reflect]
-    ys[reflect] = ((tr - 1.0) / tr)[:, None] * xs[reflect]
+    us[reflect] = xs[reflect] / -t[reflect][:, None]
 
-    xv = xs[slide]
     tv = t[slide]
     lam = -1.0 / (2.0 * tv)
-    x_hat = xv / tv[:, None]
+    x_hat = xs[slide] / tv[:, None]
     g = gauss[slide]
     w = g - np.sum(g * x_hat, axis=1, keepdims=True) * x_hat
     nw = np.linalg.norm(w, axis=1)
@@ -231,9 +221,9 @@ def kernel_step_batch(
         w[i] = _orthogonal_unit(x_hat[i], gen)
         nw[i] = 1.0
     w /= nw[:, None]
-    ys[slide] = xv + lam[:, None] * x_hat + np.sqrt(1.0 - lam * lam)[:, None] * w
+    us[slide] = lam[:, None] * x_hat + np.sqrt(1.0 - lam * lam)[:, None] * w
 
-    return ys
+    return us
 
 
 def advance_chain_batch(
@@ -247,7 +237,7 @@ def advance_chain_batch(
     gen = as_generator(rng)
     xs = np.asarray(x0s, dtype=float).copy()
     for _ in range(steps):
-        xs = kernel_step_batch(params, xs, gen)
+        xs += kernel_step_batch(params, xs, gen)
     return xs
 
 

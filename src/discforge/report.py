@@ -16,7 +16,7 @@ from pathlib import Path
 
 SCHEMA_VERSION = 1
 
-__all__ = ["ExperimentReport", "SCHEMA_VERSION", "verdict"]
+__all__ = ["ExperimentReport", "SCHEMA_VERSION", "check_trials", "verdict"]
 
 _OPS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
 
@@ -26,6 +26,12 @@ def verdict(value, threshold, op: str) -> dict:
     whether ``value op threshold`` holds."""
     passed = bool(_OPS[op](value, threshold))
     return {"value": value, "threshold": threshold, "op": op, "passed": passed}
+
+
+def check_trials(trials: int) -> None:
+    """Reject an experiment trial count below 1."""
+    if trials < 1:
+        raise ValueError(f"trial count must be at least 1, got {trials}")
 
 
 @dataclass

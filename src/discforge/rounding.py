@@ -21,7 +21,7 @@ from .errors import BadSizeError
 from .evals import discG_mc, random_signing_baseline
 from .linalg import gaussian_vector, top_eigvec
 from .parallel import map_trials
-from .report import ExperimentReport, verdict
+from .report import ExperimentReport, check_trials, verdict
 from .rng import RngHandle, as_generator
 
 __all__ = [
@@ -232,6 +232,7 @@ def rounding_experiment(
         raise ValueError(f"unknown setting {setting!r}")
     if n % 4 != 2 or n < 6:
         raise BadSizeError(f"need n = 2 (mod 4), n >= 6; got {n}")
+    check_trials(trials)
     rules = SETTINGS[setting]
     metrics = map_trials(
         lambda k: _trial(rules, n, rng.substream(k), mc_samples, baseline_samples),

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .evals import coupling_from_units
 from .kernel import KernelParams, kernel_step
-from .linalg import check_correlation
+from .linalg import PIVOT_RTOL, check_correlation
 from .rng import RngHandle
 
 __all__ = [
@@ -116,7 +116,7 @@ def _advance(
         u[0] = 1.0
         return u
     z = (w.T @ v) / nsq
-    u = kernel_step(KernelParams(r, sigma_star(r) ** 2 / nsq), z, gen) - z
+    u = kernel_step(KernelParams(r, sigma_star(r) ** 2 / nsq), z, gen)
     np.multiply(v[:, None], u[None, :], out=step)
     w += step
     return u
@@ -194,7 +194,7 @@ def _extend_cholesky(l_prev: np.ndarray, sig: np.ndarray) -> np.ndarray:
     leading principal submatrix."""
     t = sig.shape[0]
     scale = max(float(np.trace(sig)) / t, 1e-30)
-    tol = 1e-8 * scale
+    tol = PIVOT_RTOL * scale
     l = np.zeros((t, t))
     l[: t - 1, : t - 1] = l_prev
     b = sig[t - 1, : t - 1]

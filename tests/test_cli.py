@@ -145,7 +145,7 @@ def test_bench_smoke(capsys):
     assert direct["median_round_seconds"] > 0.0
 
 
-def test_usage_errors(tmp_path):
+def test_usage_errors(tmp_path, capsys):
     assert main(["no-such-command"]) == 2
     # --seed is mandatory for experiment subcommands
     assert main(["rounding", "--setting", "spencer", "--n", "102"]) == 2
@@ -156,3 +156,11 @@ def test_usage_errors(tmp_path):
     assert main(["eval", "discg", "--input", str(mat)]) == 2  # missing coupling/seed
     assert main(["eval", "discg", "--input", str(mat), "--coupling", str(mat),
                  "--samples", "-3", "--seed", "4"]) == 2
+    for cmd in (["rounding", "--setting", "spencer", "--n", "102"],
+                ["banaszczyk", "--m", "8", "--t", "16"]):
+        capsys.readouterr()
+        assert main([*cmd, "--trials", "0", "--seed", "1"]) == 2
+        assert "got 0" in capsys.readouterr().err
+    # --out naming a directory is an error, not a silent skip
+    assert main(["eval", "disc", "--input", str(mat), "--out", str(tmp_path)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err

@@ -44,11 +44,11 @@ def test_slice_feasible_examples():
 
 def test_slice_sample_unique_point():
     x = np.array([0.3, 0.0])
-    y = slice_sample(SliceSpec(x, 0.7), RngHandle(0))
+    y = x + slice_sample(SliceSpec(x, 0.7), RngHandle(0))
     assert np.allclose(y, (-7.0 / 3.0) * x, atol=1e-12)
     # generic direction too
     x = np.array([0.18, -0.24])  # norm 0.3
-    y = slice_sample(SliceSpec(x, 0.7), RngHandle(0))
+    y = x + slice_sample(SliceSpec(x, 0.7), RngHandle(0))
     assert np.allclose(y, ((0.3 - 1.0) / 0.3) * x, atol=1e-9)
 
 
@@ -56,7 +56,7 @@ def test_slice_sample_split_point():
     gen = RngHandle(5).generator()
     x = np.array([1.0, 0.0])
     for _ in range(20):
-        y = slice_sample(SliceSpec(x, 1.0), gen)
+        y = x + slice_sample(SliceSpec(x, 1.0), gen)
         assert abs(np.linalg.norm(y) - 1.0) < 1e-9
         assert abs(np.linalg.norm(y - x) - 1.0) < 1e-9
         assert abs(y[0] - 0.5) < 1e-9
@@ -83,6 +83,9 @@ def test_slice_sample_rotational_symmetry():
 def test_slice_sample_infeasible():
     with pytest.raises(InfeasibleSliceError):
         slice_sample(SliceSpec(np.array([3.0, 0.0]), 0.5), RngHandle(0))
+    # ||x||^2 overflows: no finite step can be placed
+    with np.errstate(over="ignore"), pytest.raises(InfeasibleSliceError):
+        slice_sample(SliceSpec(np.array([1e155, 0.0, 0.0]), 1e155), RngHandle(0))
 
 
 def test_kernel_step_inner_branch():
@@ -90,7 +93,7 @@ def test_kernel_step_inner_branch():
     gen = RngHandle(1).generator()
     x = np.array([0.25, 0.0])
     for _ in range(10):
-        y = kernel_step(params, x, gen)
+        y = x + kernel_step(params, x, gen)
         assert abs(np.linalg.norm(y) - 0.75) < 1e-9
         assert abs(np.linalg.norm(y - x) - 1.0) < 1e-9
 
@@ -100,7 +103,7 @@ def test_kernel_step_outer_branch_preserves_radius():
     gen = RngHandle(2).generator()
     x = np.array([2.0, 0.0])
     for _ in range(10):
-        y = kernel_step(params, x, gen)
+        y = x + kernel_step(params, x, gen)
         assert abs(np.linalg.norm(y) - 2.0) < 1e-9
         x = y
 
@@ -115,7 +118,7 @@ def test_kernel_step_mixture_weight_matches_density_ratio():
     params = KernelParams(r, sigma2)
     x = np.full((100_000, r), 0.0)
     x[:, 0] = t
-    ys = kernel_step_batch(params, x, RngHandle(3))
+    ys = x + kernel_step_batch(params, x, RngHandle(3))
     radii = np.linalg.norm(ys, axis=1)
     frac = float(np.mean(np.abs(radii - (1.0 - t)) < 1e-9))
     law = ChiLaw(r, sigma2)
@@ -175,8 +178,8 @@ def test_batch_matches_scalar_in_law():
     params = KernelParams(3, 1.0 / 8.0)
     gen = RngHandle(6).generator()
     x0 = 0.9 * gen.standard_normal((4000, 3))
-    batch = kernel_step_batch(params, x0, RngHandle(7))
-    scalar = np.array(
+    batch = x0 + kernel_step_batch(params, x0, RngHandle(7))
+    scalar = x0 + np.array(
         [kernel_step(params, x0[i], gen) for i in range(x0.shape[0])]
     )
     # same start population: compare radius distributions after one step
@@ -192,9 +195,9 @@ def test_advance_chain_batch_shape():
     # origin rows interleaved with reflecting, mixed and sliding rows
     xs = np.zeros((8, 2))
     xs[1::2] = [[0.3, 0.0], [0.0, -0.7], [1.5, 2.0], [-0.4, 0.4]]
-    ys = kernel_step_batch(params, xs, RngHandle(10))
-    assert np.abs(np.linalg.norm(ys - xs, axis=1) - 1.0).max() <= 1e-12
-    from_origin = {tuple(y) for y in ys[::2]}
+    us = kernel_step_batch(params, xs, RngHandle(10))
+    assert np.abs(np.linalg.norm(us, axis=1) - 1.0).max() <= 1e-12
+    from_origin = {tuple(u) for u in us[::2]}
     assert len(from_origin) == 4
 
 

@@ -155,3 +155,5 @@ def test_rounding_experiment_small():
         rounding_experiment("other", 102, 1, RngHandle(0))
     with pytest.raises(BadSizeError):
         rounding_experiment("spencer", 100, 1, RngHandle(0))
+    with pytest.raises(ValueError, match="trial count must be at least 1, got 0$"):
+        rounding_experiment("spencer", 102, 0, RngHandle(0))

@@ -5,6 +5,7 @@ import pytest
 
 from discforge.errors import (
     InconsistentStreamError,
+    InfeasibleSliceError,
     NormTooLargeError,
     NotUnitError,
     RankTooSmallError,
@@ -83,15 +84,25 @@ def test_outputs_are_unit_and_telescoping():
     vs = unit_columns(m, big_t, RngHandle(4))
     vs[:, 10] = 0.0  # zero column mid-stream
     vs[:, 20] *= 0.3  # shorter vector: kernel runs at larger variance
+    # tiny vectors: the projected state W^T v / ||v||^2 grows like 1/||v||
+    vs[:, 30] *= 1e-12
+    vs[:, 40] *= 1e-50
+    vs[:, 50] *= 1e-150
     state = walk_init(config)
     w0 = state.w.copy()
     us = []
     for t in range(big_t):
         u, state = walk_step(state, vs[:, t])
         us.append(u)
-        assert abs(np.linalg.norm(u) - 1.0) <= 1e-9
     us = np.array(us)
+    assert np.abs(np.linalg.norm(us, axis=1) - 1.0).max() <= 1e-12
     assert np.abs((w0 + vs @ us) - state.w).max() < 1e-7
+    run = walk_run(config, vs)
+    assert np.abs(np.linalg.norm(run.us, axis=1) - 1.0).max() <= 1e-12
+    # at ||v|| = 1e-158 the squared norm of W^T v / ||v||^2 overflows: the
+    # round raises rather than emitting a step that is not a unit vector
+    with np.errstate(over="ignore"), pytest.raises(InfeasibleSliceError):
+        walk_step(state, 1e-158 * vs[:, 0])
 
 
 def test_walk_run_matches_stepwise_composition():
