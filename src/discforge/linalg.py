@@ -8,6 +8,7 @@ array so call sites can chain them.
 from __future__ import annotations
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -163,28 +164,34 @@ def write_matrix(path: str | Path, a: np.ndarray) -> None:
     """Write the shared text format: 'm n' header, then one row per line."""
     a = check_matrix(a)
     m, n = a.shape
-    lines = [f"{m} {n}"]
-    for row in a:
-        lines.append(" ".join(repr(float(x)) for x in row))
+    lines = [f"{m} {n}", *(" ".join(map(repr, row)) for row in a.tolist())]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
-    """Read the shared text format written by write_matrix."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty matrix file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"{path}: expected 'm n' header, got {lines[0]!r}")
-    m, n = int(header[0]), int(header[1])
-    if len(lines) - 1 != m:
-        raise ValueError(f"{path}: expected {m} rows, found {len(lines) - 1}")
-    a = np.empty((m, n), dtype=float)
-    for i, ln in enumerate(lines[1:]):
-        vals = ln.split()
-        if len(vals) != n:
-            raise ValueError(f"{path}: row {i} has {len(vals)} entries, expected {n}")
-        a[i] = [float(v) for v in vals]
+    """Read the shared text format written by write_matrix.
+
+    Blank lines are skipped, so an m x 0 matrix (m empty rows) reads back
+    from its header alone.
+    """
+    with open(path, encoding="utf-8") as fh:
+        header = next((ln for ln in fh if ln.strip()), None)
+        if header is None:
+            raise ValueError(f"{path}: empty matrix file")
+        dims = header.split()
+        if len(dims) != 2 or not all(d.isdecimal() for d in dims):
+            raise ValueError(f"{path}: expected 'm n' header, got {header.strip()!r}")
+        m, n = int(dims[0]), int(dims[1])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a body with no entries
+                a = np.loadtxt(fh, dtype=float, ndmin=2, comments=None)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    if a.size == 0:
+        a = np.zeros((m if n == 0 else 0, n))
+    if a.shape[0] != m:
+        raise ValueError(f"{path}: expected {m} rows, found {a.shape[0]}")
+    if a.shape[1] != n:
+        raise ValueError(f"{path}: rows have {a.shape[1]} entries, expected {n}")
     return a

@@ -48,6 +48,18 @@ def test_walk_identity_stream(tmp_path):
     assert summary["schema"] == 1
 
 
+def test_walk_zero_rounds(tmp_path):
+    mat = tmp_path / "none.mat"
+    write_matrix(mat, np.zeros((3, 0)))
+    out = tmp_path / "run"
+    rc = main([
+        "walk", "--input", str(mat), "--rank", "4", "--seed", "3", "--out", str(out),
+    ])
+    assert rc == 0
+    assert read_matrix(out / "stream.mat").shape == (0, 4)
+    assert (out / "metrics.jsonl").read_text() == ""
+
+
 def test_walk_rejects_non_finite_input(tmp_path, capsys):
     mat = tmp_path / "nan.mat"
     mat.write_text("2 2\n0.5 nan\n0.5 0.5\n", encoding="utf-8")

@@ -152,13 +152,30 @@ def test_matrix_file_round_trip(tmp_path):
     assert np.array_equal(a, b)
     text = path.read_text(encoding="utf-8")
     assert text.splitlines()[0] == "3 5"
+    # shapes without entries: m x 0 is written as m empty rows
+    for shape in ((3, 0), (0, 4), (1, 1), (1, 3), (3, 1)):
+        a = gen.standard_normal(shape)
+        write_matrix(path, a)
+        b = read_matrix(path)
+        assert b.shape == shape
+        assert np.array_equal(a, b)
 
 
 def test_matrix_file_errors(tmp_path):
     bad = tmp_path / "bad.mat"
-    bad.write_text("2 2\n1 2\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        read_matrix(bad)
-    bad.write_text("", encoding="utf-8")
-    with pytest.raises(ValueError):
-        read_matrix(bad)
+    for text, problem in (
+        ("2 2\n1 2\n", "expected 2 rows, found 1"),
+        ("", "empty matrix file"),
+        ("\n\n", "empty matrix file"),
+        ("2\n1 2\n", "expected 'm n' header"),
+        ("a b\n", "expected 'm n' header"),
+        ("-1 2\n", "expected 'm n' header"),
+        ("2 2\n1 2 3\n4 5 6\n", "rows have 3 entries, expected 2"),
+        ("2 2\n1 2\n3\n", "number of columns changed"),
+        ("2 2\n1 x\n3 4\n", "could not convert"),
+        ("2 0\n1 2\n", "expected 2 rows, found 1"),
+    ):
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=problem) as err:
+            read_matrix(bad)
+        assert str(err.value).startswith(f"{bad}: ")

@@ -114,17 +114,39 @@ def test_walk_run_matches_stepwise_composition():
     w0 = state.w.copy()
     for t in range(big_t):
         u, state = walk_step(state, vs[:, t])
-        assert np.array_equal(u, run.us[t])  # bitwise: same draws, same ops
+        # same draws; the blocked run sums in another order
+        assert np.abs(u - run.us[t]).max() < 1e-12
         norm_t = np.linalg.norm(state.w - w0, axis=1).max()
         assert abs(norm_t - run.row_norms[t]) < 1e-12
 
 
 def test_online_prefix_replay():
+    # round t's outputs depend on no later column, to the bit, including
+    # prefixes that end inside walk_run's blocks
     m, r, big_t = 4, 2, 30
     vs = unit_columns(m, big_t, RngHandle(5))
     full = walk_run(WalkConfig(m=m, r=r, seed=RngHandle(6)), vs)
     prefix = walk_run(WalkConfig(m=m, r=r, seed=RngHandle(6)), vs[:, :12])
     assert np.array_equal(full.us[:12], prefix.us)
+    for m, big_t, r in ((64, 100, 16), (300, 150, 40), (1000, 140, 64)):
+        config = WalkConfig(m=m, r=r, seed=RngHandle(6))
+        vs = unit_columns(m, big_t, RngHandle(5))
+        full = walk_run(config, vs)
+        for t in range(1, big_t):
+            prefix = walk_run(config, vs[:, :t])
+            assert np.array_equal(full.us[:t], prefix.us)
+            assert np.array_equal(full.row_norms[:t], prefix.row_norms)
+
+
+def test_row_norms_do_not_drift_on_long_streams():
+    m, r, big_t = 50, 8, 5000
+    vs = unit_columns(m, big_t, RngHandle(19))
+    run = walk_run(WalkConfig(m=m, r=r, seed=RngHandle(20)), vs)
+    signed = np.zeros((m, r))
+    for t in range(big_t):
+        signed += np.outer(vs[:, t], run.us[t])
+        exact = np.linalg.norm(signed, axis=1).max()
+        assert abs(run.row_norms[t] - exact) <= 1e-12 * exact
 
 
 def test_walk_run_empty_stream():
