@@ -1,9 +1,12 @@
 """Scaled chi distribution and the critical variance threshold.
 
-``ChiLaw(r, sigma2)`` is the law of ||g|| for g ~ N(0, sigma2 * I_r),
-``scipy.stats.chi`` with r degrees of freedom and scale sqrt(sigma2). The
-radial kernel is only well defined when the density mass at a reflected
-radius 1-s dominates the mass at s on [0, 1/2]; ``sigma_star`` gives the
+``ChiLaw(r, sigma2)`` is the law of ||g|| for g ~ N(0, sigma2 * I_r): the
+chi law with r degrees of freedom and scale sqrt(sigma2). Its CDF and log
+density come from ``scipy.special`` (the regularized lower incomplete
+gamma function, ``gammaln`` and ``xlogy``), imported on first use so that
+the walk, which needs only ``sigma_star``, never loads it. The radial
+kernel is only well defined when the density mass at a reflected radius
+1-s dominates the mass at s on [0, 1/2]; ``sigma_star`` gives the
 smallest standard deviation for which that holds and
 ``ratio_condition_holds`` checks it numerically on a grid.
 """
@@ -13,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi
 
 from .errors import RankTooSmallError
 
@@ -66,9 +68,20 @@ def sigma_star(r: int) -> float:
 
 
 def chi_log_density(law: ChiLaw, s):
-    """Log density, elementwise on arrays; -inf outside the support."""
-    out = chi.logpdf(s, law.r, scale=math.sqrt(law.sigma2))
-    return out if np.ndim(out) else float(out)
+    """Log density, elementwise on arrays; -inf outside the support.
+
+    With x = s / sigma: log 2 - (r/2) log 2 - lgamma(r/2) + (r-1) log x
+    - x^2/2 - log sigma, where xlogy makes the r = 1 term 0 at x = 0.
+    """
+    from scipy.special import gammaln, xlogy
+
+    sigma = math.sqrt(law.sigma2)
+    x = np.asarray(s, dtype=float) / sigma
+    const = math.log(2.0) - 0.5 * math.log(2.0) * law.r - float(gammaln(0.5 * law.r))
+    with np.errstate(invalid="ignore"):  # inf - inf at s = inf
+        out = const + xlogy(law.r - 1.0, x) - 0.5 * x * x - math.log(sigma)
+    out = np.where(x < 0.0, -np.inf, out)
+    return out if out.ndim else float(out)
 
 
 def chi_density(law: ChiLaw, s):
@@ -78,9 +91,13 @@ def chi_density(law: ChiLaw, s):
 
 
 def chi_cdf(law: ChiLaw, s):
-    """CDF of the scaled chi law; accepts scalars or arrays."""
-    out = chi.cdf(s, law.r, scale=math.sqrt(law.sigma2))
-    return out if np.ndim(out) else float(out)
+    """CDF of the scaled chi law, gammainc(r/2, x^2/2) at x = s / sigma and
+    0 for s < 0; accepts scalars or arrays."""
+    from scipy.special import gammainc
+
+    x = np.asarray(s, dtype=float) / math.sqrt(law.sigma2)
+    out = np.where(x < 0.0, 0.0, gammainc(0.5 * law.r, 0.5 * x * x))
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

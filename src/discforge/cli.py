@@ -20,7 +20,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import norm
 
 from .chilaw import ChiLaw, chi_cdf
 from .errors import DiscforgeError
@@ -111,6 +110,8 @@ def cmd_walk(args: argparse.Namespace) -> int:
 
 
 def cmd_stationarity(args: argparse.Namespace) -> int:
+    from scipy.special import ndtr
+
     handle = _seed_handle(args)
     sigma2 = args.sigma * args.sigma
     params = KernelParams(args.r, sigma2)
@@ -122,7 +123,7 @@ def cmd_stationarity(args: argparse.Namespace) -> int:
     law = ChiLaw(args.r, sigma2)
     radius = ks_test(np.linalg.norm(xs, axis=1), lambda s: chi_cdf(law, s), args.level)
     coords = [
-        ks_test(xs[:, j], lambda s: norm.cdf(s, scale=args.sigma), args.level)
+        ks_test(xs[:, j], lambda s: ndtr(s / args.sigma), args.level)
         for j in range(args.r)
     ]
     cov = cov_test(xs, sigma2 * np.eye(args.r), args.cov_tol)

@@ -69,21 +69,35 @@ def _axis_offset(norm_x: float, s: float) -> float:
     return ((s - norm_x) * (s + norm_x) - 1.0) / (2.0 * norm_x)
 
 
+def _norm(x: np.ndarray) -> float:
+    """||x||, rescaled by max|x| when the plain sum of squares overflows
+    (||x|| beyond about 1.3e154) though every entry is finite."""
+    t = float(np.linalg.norm(x))
+    if t == math.inf and np.isfinite(x).all():
+        a = float(np.abs(x).max())
+        t = a * float(np.linalg.norm(x / a))
+    return t
+
+
 def slice_feasible(spec: SliceSpec) -> bool:
     """Whether some y has ||y - x|| = 1 and ||y|| = s.
 
     Equivalent to (||x|| - 1)^2 <= s^2 <= (||x|| + 1)^2, checked with a
-    small additive slack so boundary slices built in floating point (the
-    single-point cases) stay feasible. A radius or state norm that is not
-    finite (||x||^2 overflows) admits no step.
+    small slack so boundary slices built in floating point (the
+    single-point cases) stay feasible. Both sides are divided by
+    c^2 = max(1, s, ||x||)^2, which keeps the squares finite however large
+    the radii are; the slack is FEAS_ATOL * c^2 before scaling. A radius
+    or state norm that is not finite admits no step.
     """
     x = np.asarray(spec.x, dtype=float)
     s = float(spec.s)
-    t = float(np.linalg.norm(x))
+    t = _norm(x)
     if not (0.0 <= s < math.inf and t < math.inf):
         return False
-    slack = FEAS_ATOL * max(1.0, s * s, t * t)
-    return (t - 1.0) ** 2 <= s * s + slack and s * s <= (t + 1.0) ** 2 + slack
+    c = max(1.0, s, t)
+    s_c, t_c, one_c = s / c, t / c, 1.0 / c
+    s_sq = s_c * s_c
+    return (t_c - one_c) ** 2 <= s_sq + FEAS_ATOL and s_sq <= (t_c + one_c) ** 2 + FEAS_ATOL
 
 
 def _orthogonal_unit(x_hat: np.ndarray, gen: np.random.Generator) -> np.ndarray:
@@ -105,12 +119,12 @@ def slice_sample(spec: SliceSpec, rng: RngHandle | np.random.Generator) -> np.nd
     orthogonal to it; at the feasibility boundary the orthogonal part
     vanishes and the slice is a single point.
     """
-    if not slice_feasible(spec):
-        raise InfeasibleSliceError(f"no unit step from ||x||={np.linalg.norm(spec.x):.6g} reaches radius {spec.s}")
     x = np.asarray(spec.x, dtype=float)
     s = float(spec.s)
+    t = _norm(x)
+    if not slice_feasible(spec):
+        raise InfeasibleSliceError(f"no unit step from ||x||={t:.6g} reaches radius {s}")
     gen = as_generator(rng)
-    t = float(np.linalg.norm(x))
     if t == 0.0:
         return _orthogonal_unit(x, gen)
     lam = min(1.0, max(-1.0, _axis_offset(t, s)))
@@ -142,7 +156,7 @@ def kernel_step(
     if x.shape != (params.r,):
         raise DimMismatchError(f"state has shape {x.shape}, expected ({params.r},)")
     gen = as_generator(rng)
-    t = float(np.linalg.norm(x))
+    t = _norm(x)
     if t == 0.0:
         return slice_sample(SliceSpec(x, 1.0), gen)
     if t < 0.5 or (t < 1.0 and gen.random() < _reflection_weight(params, t)):

@@ -7,10 +7,28 @@ from discforge.chilaw import (
     ChiLaw,
     chi_cdf,
     chi_density,
+    chi_log_density,
     ratio_condition_holds,
     sigma_star,
 )
 from discforge.errors import RankTooSmallError
+
+# Degrees of freedom and variances on which the law is checked against
+# scipy.stats.chi.
+GRID_R = (1, 2, 3, 8, 11, 50, 1000)
+GRID_SIGMA2 = (0.04, 0.25, 1.0, 4.0)
+
+
+def _grid_laws():
+    for r in GRID_R:
+        for sigma2 in GRID_SIGMA2:
+            law = ChiLaw(r, sigma2)
+            sigma = math.sqrt(sigma2)
+            s = np.concatenate([
+                [-1.0, -1e-300, 0.0, 1e-300, 1e-10],
+                np.linspace(0.0, sigma * (math.sqrt(r) + 8.0), 2001),
+            ])
+            yield law, sigma, s
 
 
 def test_sigma_star_values():
@@ -58,6 +76,37 @@ def test_cdf_monotone_and_matches_quadrature():
         assert np.abs(cdf - quad[::400]).max() < 1e-8
         # density integrates to one
         assert abs(quad[-1] - 1.0) < 1e-6
+
+
+def test_cdf_agrees_with_scipy_stats():
+    from scipy.stats import chi
+
+    for law, sigma, s in _grid_laws():
+        ref = chi.cdf(s, law.r, scale=sigma)
+        assert np.abs(chi_cdf(law, s) - ref).max() <= 2e-13
+
+
+def test_log_density_agrees_with_scipy_stats():
+    from scipy.stats import chi
+
+    for law, sigma, s in _grid_laws():
+        out = chi_log_density(law, s)
+        ref = chi.logpdf(s, law.r, scale=sigma)
+        assert np.array_equal(np.isneginf(out), np.isneginf(ref))
+        finite = np.isfinite(ref)
+        assert np.isfinite(out[finite]).all()
+        # relative error, absolute where |log density| < 1
+        gap = np.abs(out[finite] - ref[finite])
+        assert (gap <= 2e-13 * np.maximum(1.0, np.abs(ref[finite]))).all()
+
+
+def test_scalar_input_gives_python_float():
+    law = ChiLaw(3, 0.5)
+    for f in (chi_cdf, chi_log_density, chi_density):
+        assert type(f(law, 0.7)) is float
+        assert type(f(law, -0.7)) is float
+        assert f(law, np.array([0.7])).shape == (1,)
+    assert chi_log_density(law, -0.7) == -math.inf
 
 
 def test_ratio_condition_examples():

@@ -1,10 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import discforge
 from discforge.cli import bench_per_round, main
+from discforge.kernel import KernelParams, advance_chain_batch
 from discforge.linalg import read_matrix, write_matrix
+from discforge.rng import RngHandle
 
 
 def test_gen_identity(tmp_path, capsys):
@@ -124,6 +131,55 @@ def test_stationarity_passes(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "stationarity.json").read_text())
     assert report["verdicts"]["ks_radius"]["passed"]
+
+
+def test_stationarity_verdicts_match_scipy_stats(tmp_path):
+    from scipy.stats import chi, kstest, norm
+
+    r, sigma, runs, steps, seed = 2, 0.5, 5000, 100, 3
+    rc = main([
+        "stationarity", "--r", str(r), "--sigma", str(sigma), "--runs", str(runs),
+        "--steps", str(steps), "--seed", str(seed), "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    verdicts = json.loads((tmp_path / "stationarity.json").read_text())["verdicts"]
+    # the same chains, tested with the scipy.stats forms of the two laws
+    gen = RngHandle(seed).generator()
+    x0 = sigma * gen.standard_normal((runs, r))
+    xs = advance_chain_batch(KernelParams(r, sigma * sigma), x0, steps, gen)
+    expected = {"ks_radius": kstest(np.linalg.norm(xs, axis=1), chi(r, scale=sigma).cdf, method="asymp")}
+    for j in range(r):
+        expected[f"ks_coordinate_{j}"] = kstest(xs[:, j], norm(scale=sigma).cdf, method="asymp")
+    for name, ref in expected.items():
+        assert abs(verdicts[name]["value"] - ref.pvalue) <= 5e-14
+        assert verdicts[name]["passed"]
+
+
+def test_runs_without_scipy_stats(tmp_path):
+    # walk, banaszczyk and rounding never need the chi law or a KS test, so
+    # neither importing the package nor running them may load scipy.stats
+    mat = tmp_path / "cols.mat"
+    write_matrix(mat, np.eye(6)[:, :5])
+    runs = [
+        ["walk", "--input", str(mat), "--rank", "3", "--seed", "1", "--out", str(tmp_path / "walk")],
+        ["banaszczyk", "--m", "6", "--t", "8", "--trials", "1", "--samples", "100", "--seed", "2"],
+        ["rounding", "--setting", "spencer", "--n", "22", "--trials", "1", "--seed", "3"],
+    ]
+    script = f"""
+import sys
+import discforge
+import discforge.cli
+assert "scipy.stats" not in sys.modules, "import"
+for argv in {runs!r}:
+    assert discforge.cli.main(argv) == 0, argv[0]
+    assert "scipy.stats" not in sys.modules, argv[0]
+"""
+    path = [str(Path(discforge.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_rounding_cli(tmp_path):

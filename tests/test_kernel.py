@@ -83,9 +83,16 @@ def test_slice_sample_rotational_symmetry():
 def test_slice_sample_infeasible():
     with pytest.raises(InfeasibleSliceError):
         slice_sample(SliceSpec(np.array([3.0, 0.0]), 0.5), RngHandle(0))
-    # ||x||^2 overflows: no finite step can be placed
-    with np.errstate(over="ignore"), pytest.raises(InfeasibleSliceError):
-        slice_sample(SliceSpec(np.array([1e155, 0.0, 0.0]), 1e155), RngHandle(0))
+    # ||x||^2 overflows, but ||x|| is measured rescaled: the step is a unit
+    # vector that lands on the slice
+    x = np.array([1e155, 0.0, 0.0])
+    with np.errstate(over="ignore"):
+        u = slice_sample(SliceSpec(x, 1e155), RngHandle(0))
+        assert not slice_feasible(SliceSpec(x, 3e155))
+        assert not slice_feasible(SliceSpec(np.array([1e300, 1e300]), 1e300))
+    assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+    assert abs(np.linalg.norm((x + u) / 1e155) - 1.0) <= 1e-12
+    assert not slice_feasible(SliceSpec(np.array([np.inf, 0.0]), 1.0))
 
 
 def test_kernel_step_inner_branch():

@@ -35,6 +35,26 @@ def test_ks_result_contract():
     assert res.n == 2000
 
 
+def test_ks_agrees_with_scipy_stats_kstest():
+    from scipy.stats import chi, kstest
+
+    gen = RngHandle(96).generator()
+    cases = []
+    for n in (10, 11, 57, 500, 5000):
+        for scale in (0.8, 1.0, 1.3):
+            cases.append((scale * gen.standard_normal(n), norm.cdf))
+    for r in (2, 11):
+        radii = np.linalg.norm(gen.standard_normal((800, r)), axis=1)
+        cases.append((radii, chi(r).cdf))
+        cases.append((1.1 * radii, chi(r).cdf))
+    for xs, cdf in cases:
+        res = ks_test(xs, cdf)
+        ref = kstest(xs, cdf, method="asymp")
+        assert abs(res.statistic - ref.statistic) <= 5e-14
+        assert abs(res.p_value - ref.pvalue) <= 5e-14
+        assert type(res.statistic) is float and type(res.p_value) is float
+
+
 def test_ks_too_few_samples():
     with pytest.raises(TooFewSamplesError):
         ks_test(np.arange(5.0), lambda s: s, 0.01)

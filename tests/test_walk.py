@@ -5,11 +5,11 @@ import pytest
 
 from discforge.errors import (
     InconsistentStreamError,
-    InfeasibleSliceError,
     NormTooLargeError,
     NotUnitError,
     RankTooSmallError,
 )
+from discforge import walk
 from discforge.instances import unit_columns
 from discforge.linalg import psd_cholesky
 from discforge.rng import RngHandle
@@ -99,10 +99,16 @@ def test_outputs_are_unit_and_telescoping():
     assert np.abs((w0 + vs @ us) - state.w).max() < 1e-7
     run = walk_run(config, vs)
     assert np.abs(np.linalg.norm(run.us, axis=1) - 1.0).max() <= 1e-12
-    # at ||v|| = 1e-158 the squared norm of W^T v / ||v||^2 overflows: the
-    # round raises rather than emitting a step that is not a unit vector
-    with np.errstate(over="ignore"), pytest.raises(InfeasibleSliceError):
-        walk_step(state, 1e-158 * vs[:, 0])
+    # below ||v|| = 1e-155 the plain squared norm of W^T v / ||v||^2
+    # overflows; the kernel measures it rescaled and still steps by a unit
+    tiny = (1e-155, 1e-158, 1e-160, 1e-161)
+    for k, scale in enumerate(tiny):
+        with np.errstate(over="ignore"):
+            u, state = walk_step(state, scale * vs[:, k])
+        assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+    with np.errstate(over="ignore"):
+        run = walk_run(config, vs[:, : len(tiny)] * np.array(tiny))
+    assert np.abs(np.linalg.norm(run.us, axis=1) - 1.0).max() <= 1e-12
 
 
 def test_walk_run_matches_stepwise_composition():
@@ -147,6 +153,30 @@ def test_row_norms_do_not_drift_on_long_streams():
         signed += np.outer(vs[:, t], run.us[t])
         exact = np.linalg.norm(signed, axis=1).max()
         assert abs(run.row_norms[t] - exact) <= 1e-12 * exact
+
+
+def test_row_norms_resync_every_few_blocks(monkeypatch):
+    # the incremental squared row norms drift too slowly for any test stream
+    # to tell a run without the exact recomputation from Delta, so watch the
+    # recomputation itself: once per RESYNC_BLOCKS blocks, on the signed sum
+    # of every round so far
+    m, r, blocks = 20, 8, 10
+    b = walk.BLOCK_MIN  # the block width at r <= BLOCK_MIN
+    vs = unit_columns(m, blocks * b - 3, RngHandle(21))
+    seen = []
+    einsum = np.einsum
+
+    def spy(subscripts, *operands, **kwargs):
+        seen.append(operands[0].copy())
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    run = walk_run(WalkConfig(m=m, r=r, seed=RngHandle(22)), vs)
+    monkeypatch.undo()
+    assert len(seen) == blocks // walk.RESYNC_BLOCKS
+    for k, delta in enumerate(seen, start=1):
+        end = k * walk.RESYNC_BLOCKS * b
+        assert np.abs(delta - vs[:, :end] @ run.us[:end]).max() <= 1e-12
 
 
 def test_walk_run_empty_stream():
