@@ -31,7 +31,6 @@ from .kernel import (
 from .linalg import (
     check_correlation,
     check_psd,
-    gaussian_vector,
     psd_cholesky,
     read_matrix,
     top_eigvec,

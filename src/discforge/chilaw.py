@@ -68,7 +68,8 @@ def sigma_star(r: int) -> float:
 
 
 def chi_log_density(law: ChiLaw, s):
-    """Log density, elementwise on arrays; -inf outside the support.
+    """Log density, elementwise on arrays; -inf outside the support and at
+    s = inf.
 
     With x = s / sigma: log 2 - (r/2) log 2 - lgamma(r/2) + (r-1) log x
     - x^2/2 - log sigma, where xlogy makes the r = 1 term 0 at x = 0.
@@ -80,7 +81,7 @@ def chi_log_density(law: ChiLaw, s):
     const = math.log(2.0) - 0.5 * math.log(2.0) * law.r - float(gammaln(0.5 * law.r))
     with np.errstate(invalid="ignore"):  # inf - inf at s = inf
         out = const + xlogy(law.r - 1.0, x) - 0.5 * x * x - math.log(sigma)
-    out = np.where(x < 0.0, -np.inf, out)
+    out = np.where((x < 0.0) | (x == np.inf), -np.inf, out)
     return out if out.ndim else float(out)
 
 

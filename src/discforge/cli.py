@@ -61,6 +61,15 @@ def _emit(args: argparse.Namespace, payload: dict) -> None:
     print(text)
 
 
+def _finish(args: argparse.Namespace, report: ExperimentReport) -> int:
+    """Save the report when --out is given, print its summary, and exit 0
+    on a statistical pass, 1 otherwise."""
+    if args.out:
+        report.save(args.out)
+    print(json.dumps(report.to_summary_dict(), indent=2, sort_keys=True))
+    return 0 if report.passed else 1
+
+
 def _seed_handle(args: argparse.Namespace) -> RngHandle:
     return RngHandle(args.seed, args.stream_id)
 
@@ -142,10 +151,7 @@ def cmd_stationarity(args: argparse.Namespace) -> int:
         verdicts=verdicts,
         timings={"total_seconds": elapsed},
     )
-    if args.out:
-        report.save(args.out)
-    print(json.dumps(report.to_summary_dict(), indent=2, sort_keys=True))
-    return 0 if report.passed else 1
+    return _finish(args, report)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -207,10 +213,7 @@ def cmd_rounding(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     report = rounding_experiment(args.setting, args.n, args.trials, _seed_handle(args))
     report.timings["total_seconds"] = time.perf_counter() - t0
-    if args.out:
-        report.save(args.out)
-    print(json.dumps(report.to_summary_dict(), indent=2, sort_keys=True))
-    return 0 if report.passed else 1
+    return _finish(args, report)
 
 
 def _banaszczyk_trial(
@@ -257,10 +260,7 @@ def cmd_banaszczyk(args: argparse.Namespace) -> int:
         verdicts={"estimate_below_threshold": verdict(frac, PASS_FRACTION, ">=")},
         timings={"total_seconds": elapsed},
     )
-    if args.out:
-        report.save(args.out)
-    print(json.dumps(report.to_summary_dict(), indent=2, sort_keys=True))
-    return 0 if report.passed else 1
+    return _finish(args, report)
 
 
 def bench_per_round(

@@ -5,9 +5,9 @@ equivalently Gram matrices), spherical (radius sqrt(n)), and Gaussian
 
 Exact objectives are evaluated directly; the Gaussian expectation has no
 closed form and is estimated by Monte Carlo with a reported standard
-error. Sampling is organized in fixed-size blocks, each on its own
-derived random substream, so estimates do not depend on how blocks are
-scheduled.
+error. The Monte Carlo evaluators take an RngHandle and sample in
+fixed-size blocks, block k drawing from the handle's substream k, so
+estimates do not depend on how blocks are scheduled.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .errors import (
 )
 from .linalg import psd_cholesky
 from .parallel import map_trials
-from .rng import RngHandle, as_generator
+from .rng import RngHandle
 
 __all__ = [
     "McEstimate",
@@ -54,7 +54,7 @@ class McEstimate:
     mean: float
     std_error: float
     samples: int
-    seed: RngHandle | None
+    seed: RngHandle
 
 
 def check_signing(sigma: np.ndarray) -> np.ndarray:
@@ -84,9 +84,11 @@ def _check_unit_rows(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _check_samples(samples: int) -> None:
+def _check_sampling(samples: int, rng: RngHandle) -> None:
     if samples < 1:
         raise ValueError(f"Monte Carlo sample count must be at least 1, got {samples}")
+    if not isinstance(rng, RngHandle):
+        raise TypeError(f"Monte Carlo evaluators take an RngHandle, got {type(rng).__name__}")
 
 
 def _block_plan(samples: int, block: int = MC_BLOCK) -> list[int]:
@@ -96,28 +98,18 @@ def _block_plan(samples: int, block: int = MC_BLOCK) -> list[int]:
     return sizes
 
 
-def _map_blocks(fn, rng, samples: int) -> list:
-    """Run fn(generator, block_size) over the sample blocks.
-
-    With an RngHandle, block k draws from substream k, so blocks are
-    order-independent and may run on the trial thread pool. A raw
-    generator is consumed sequentially instead (it is not shareable).
-    """
+def _map_blocks(fn, rng: RngHandle, samples: int) -> list:
+    """Run fn(generator, block_size) over the sample blocks, block k on
+    substream k of rng, on the trial thread pool."""
     plan = _block_plan(samples)
-    if isinstance(rng, RngHandle):
-        return map_trials(
-            lambda k: fn(rng.substream(k).generator(), plan[k]), range(len(plan))
-        )
-    gen = as_generator(rng)
-    return [fn(gen, size) for size in plan]
+    return map_trials(lambda k: fn(rng.substream(k).generator(), plan[k]), range(len(plan)))
 
 
-def _estimate(vals: np.ndarray, rng: RngHandle | np.random.Generator) -> McEstimate:
+def _estimate(vals: np.ndarray, rng: RngHandle) -> McEstimate:
     """Sample mean and standard error of the per-sample values."""
     samples = vals.shape[0]
     std_error = float(vals.std(ddof=1) / math.sqrt(samples)) if samples >= 2 else 0.0
-    seed = rng if isinstance(rng, RngHandle) else None
-    return McEstimate(float(vals.mean()), std_error, samples, seed)
+    return McEstimate(float(vals.mean()), std_error, samples, rng)
 
 
 def disc_bruteforce(a: np.ndarray) -> tuple[float, np.ndarray]:
@@ -185,10 +177,10 @@ def discG_mc(
     a: np.ndarray,
     sigma: np.ndarray,
     samples: int = 100_000,
-    rng: RngHandle | np.random.Generator = RngHandle(0),
+    rng: RngHandle = RngHandle(0),
 ) -> McEstimate:
     """Monte Carlo estimate of E ||A g||_inf for g ~ N(0, Sigma)."""
-    _check_samples(samples)
+    _check_sampling(samples, rng)
     a = np.asarray(a, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     n = a.shape[1] if a.ndim == 2 else -1
@@ -209,7 +201,7 @@ def online_discG(
     vs: np.ndarray,
     us: np.ndarray,
     samples: int = 100_000,
-    rng: RngHandle | np.random.Generator = RngHandle(0),
+    rng: RngHandle = RngHandle(0),
 ) -> McEstimate:
     """Largest-prefix expected sup norm max_t E ||sum_{s<=t} g_s v_s||_inf
     where g has the Gram matrix of the stream rows.
@@ -217,7 +209,7 @@ def online_discG(
     The same Gaussian samples are reused across all prefixes, so the
     per-prefix means are comparable and their maximum is stable.
     """
-    _check_samples(samples)
+    _check_sampling(samples, rng)
     vs = np.asarray(vs, dtype=float)
     us = np.asarray(us, dtype=float)
     if vs.ndim != 2 or us.ndim != 2 or vs.shape[1] != us.shape[0]:
@@ -225,9 +217,8 @@ def online_discG(
             f"columns {vs.shape} incompatible with stream rows {us.shape}"
         )
     big_t = vs.shape[1]
-    seed = rng if isinstance(rng, RngHandle) else None
     if big_t == 0:
-        return McEstimate(0.0, 0.0, samples, seed)
+        return McEstimate(0.0, 0.0, samples, rng)
     def block(gen: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
         g = us @ gen.standard_normal((us.shape[1], size))
         acc = np.zeros((vs.shape[0], size))
@@ -249,9 +240,9 @@ def online_discG(
     t_star = int(np.argmax(means))
     mean = float(means[t_star])
     if samples < 2:
-        return McEstimate(mean, 0.0, samples, seed)
+        return McEstimate(mean, 0.0, samples, rng)
     var = (sqs[t_star] - samples * mean * mean) / (samples - 1)
-    return McEstimate(mean, math.sqrt(max(var, 0.0) / samples), samples, seed)
+    return McEstimate(mean, math.sqrt(max(var, 0.0) / samples), samples, rng)
 
 
 def coupling_from_signing(sigma: np.ndarray) -> np.ndarray:
@@ -323,10 +314,10 @@ def triangle_rank2(
 def random_signing_baseline(
     a: np.ndarray,
     trials: int = 100_000,
-    rng: RngHandle | np.random.Generator = RngHandle(0),
+    rng: RngHandle = RngHandle(0),
 ) -> McEstimate:
     """Monte Carlo mean of ||A sigma||_inf over uniform random signings."""
-    _check_samples(trials)
+    _check_sampling(trials, rng)
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise DimMismatchError(f"expected a matrix, got shape {a.shape}")

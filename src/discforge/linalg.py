@@ -1,5 +1,5 @@
 """Dense numeric substrate: PSD checks, rank-revealing Cholesky, power
-iteration, seeded Gaussian sampling, and the shared matrix file format.
+iteration, and the shared matrix file format.
 
 Matrices are plain float64 numpy arrays. The validators below are the
 boundary checks used by everything downstream; they return the validated
@@ -24,7 +24,6 @@ __all__ = [
     "psd_cholesky",
     "cholesky_rank",
     "top_eigvec",
-    "gaussian_vector",
     "read_matrix",
     "write_matrix",
 ]
@@ -79,19 +78,19 @@ def check_correlation(s: np.ndarray) -> np.ndarray:
     return s
 
 
-def psd_cholesky(s: np.ndarray, pivot_rtol: float = PIVOT_RTOL) -> np.ndarray:
+def psd_cholesky(s: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L Lt = s for positive semidefinite s.
 
     Unlike the strict Cholesky factor, rank deficiency is allowed: L has
     exactly rank(s) strictly positive diagonal entries and the remaining
     columns are identically zero, which makes the factor unique. Pivots
-    are judged relative to trace(s)/n; a pivot below -pivot_rtol times
+    are judged relative to trace(s)/n; a pivot below -PIVOT_RTOL times
     that scale raises NotPsdError.
     """
     s = check_symmetric(s)
     n = s.shape[0]
     scale = max(float(np.trace(s)) / max(n, 1), 1e-30)
-    tol = pivot_rtol * scale
+    tol = PIVOT_RTOL * scale
     l = np.zeros_like(s)
     for j in range(n):
         d = s[j, j] - l[j, :j] @ l[j, :j]
@@ -149,15 +148,6 @@ def top_eigvec(
             raise NoConvergenceError("iterate collapsed to the null space")
         v = w / nw
     raise NoConvergenceError(f"power iteration did not converge in {max_iter} sweeps")
-
-
-def gaussian_vector(
-    sigma: np.ndarray, rng: RngHandle | np.random.Generator
-) -> np.ndarray:
-    """One draw from N(0, sigma) as L xi with L = psd_cholesky(sigma)."""
-    l = psd_cholesky(sigma)
-    gen = as_generator(rng)
-    return l @ gen.standard_normal(sigma.shape[0])
 
 
 def write_matrix(path: str | Path, a: np.ndarray) -> None:

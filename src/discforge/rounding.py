@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BadSizeError
 from .evals import discG_mc, random_signing_baseline
-from .linalg import gaussian_vector, top_eigvec
+from .linalg import psd_cholesky, top_eigvec
 from .parallel import map_trials
 from .report import ExperimentReport, check_trials, verdict
 from .rng import RngHandle, as_generator
@@ -102,8 +102,10 @@ def make_planted(
 def gw_round(
     sigma: np.ndarray, rng: RngHandle | np.random.Generator
 ) -> np.ndarray:
-    """Sign pattern of one N(0, sigma) draw; zeros round up to +1."""
-    g = gaussian_vector(np.asarray(sigma, dtype=float), rng)
+    """Sign pattern of one N(0, sigma) draw L xi with L = psd_cholesky(sigma);
+    zeros round up to +1."""
+    sigma = np.asarray(sigma, dtype=float)
+    g = psd_cholesky(sigma) @ as_generator(rng).standard_normal(sigma.shape[0])
     return np.where(g >= 0.0, 1.0, -1.0)
 
 
@@ -187,18 +189,19 @@ SETTINGS = {
 
 
 def _trial(
-    setting: Setting, n: int, rng: RngHandle | np.random.Generator,
-    mc_samples: int, baseline_samples: int,
+    setting: Setting, n: int, rng: RngHandle, mc_samples: int, baseline_samples: int
 ) -> dict:
+    """One trial: the instance and the GW draw come from rng's own stream,
+    the two Monte Carlo estimates from its substreams 1 and 2."""
     m = setting.rows(n)
-    gen = as_generator(rng)
+    gen = rng.generator()
     inst = make_planted(m, n, gen)
     a_scaled = setting.normalize(inst.a, n)
     w = half_ones(n)
     sig_gw = gw_round(inst.sigma, gen)
     sig_pca = pca_round(inst.sigma, init=inst.c + 1e-3 * inst.s)
-    baseline = random_signing_baseline(a_scaled, baseline_samples, gen)
-    planted = discG_mc(a_scaled, inst.sigma, mc_samples, gen)
+    baseline = random_signing_baseline(a_scaled, baseline_samples, rng.substream(1))
+    planted = discG_mc(a_scaled, inst.sigma, mc_samples, rng.substream(2))
     return {
         "m": m,
         "feasible": bool(setting.feasible(a_scaled)),

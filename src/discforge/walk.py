@@ -27,15 +27,10 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 
 from .chilaw import sigma_star
-from .errors import (
-    DimMismatchError,
-    InconsistentStreamError,
-    NormTooLargeError,
-    NotPsdError,
-)
+from .errors import DimMismatchError, InconsistentStreamError, NormTooLargeError
 from .evals import coupling_from_units
 from .kernel import KernelParams, kernel_step
-from .linalg import PIVOT_RTOL, check_correlation
+from .linalg import check_correlation, psd_cholesky
 from .rng import RngHandle
 
 __all__ = [
@@ -231,15 +226,17 @@ def stream_of_grams(sigmas: list[np.ndarray]) -> np.ndarray:
     """Recover a unit-vector stream whose prefix Grams match the given
     nested correlation matrices.
 
-    Row t of the result is supported on the first t coordinates (it is the
-    last row of the rank-revealing Cholesky factor of the t-th matrix). The
-    factor is extended by one row per matrix with forward substitution, so
-    round t costs O(t^2) as the stream arrives.
+    Each matrix is validated and must restrict to its predecessor. Row t
+    of a T x T correlation matrix is read from the last row of the t-th
+    matrix, and the stream is that matrix's rank-revealing factor
+    psd_cholesky, computed once. Row t of the result is supported on the
+    first t coordinates: it is the last row of the factor of the t-th
+    matrix, since the factor of a leading block is the leading block of
+    the factor.
     """
     big_t = len(sigmas)
-    us = np.zeros((big_t, big_t))
+    full = np.zeros((big_t, big_t))
     prev: np.ndarray | None = None
-    l_prev = np.zeros((0, 0))
     for t, sig in enumerate(sigmas, start=1):
         sig = check_correlation(np.asarray(sig, dtype=float))
         if sig.shape != (t, t):
@@ -249,31 +246,9 @@ def stream_of_grams(sigmas: list[np.ndarray]) -> np.ndarray:
                 raise InconsistentStreamError(
                     f"matrix {t} does not restrict to matrix {t - 1}"
                 )
-        l_prev = _extend_cholesky(l_prev, sig)
-        us[t - 1, :t] = l_prev[t - 1]
+        full[t - 1, :t] = sig[t - 1]
         prev = sig
-    return us
-
-
-def _extend_cholesky(l_prev: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """Append the last row of the factor of sig to the factor of its
-    leading principal submatrix."""
-    t = sig.shape[0]
-    scale = max(float(np.trace(sig)) / t, 1e-30)
-    tol = PIVOT_RTOL * scale
-    l = np.zeros((t, t))
-    l[: t - 1, : t - 1] = l_prev
-    b = sig[t - 1, : t - 1]
-    y = np.zeros(t - 1)
-    for i in range(t - 1):
-        resid = b[i] - l_prev[i, :i] @ y[:i]
-        y[i] = resid / l_prev[i, i] if l_prev[i, i] > 0.0 else 0.0
-    d = sig[t - 1, t - 1] - y @ y
-    if d < -tol:
-        raise NotPsdError(f"negative pivot {d:.3e} extending to round {t}")
-    l[t - 1, : t - 1] = y
-    l[t - 1, t - 1] = math.sqrt(d) if d > tol else 0.0
-    return l
+    return psd_cholesky(full + np.tril(full, -1).T)
 
 
 def komlos_rank(m: int, big_t: int, delta: float, eps: float) -> int:

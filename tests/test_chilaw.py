@@ -109,6 +109,19 @@ def test_scalar_input_gives_python_float():
     assert chi_log_density(law, -0.7) == -math.inf
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 11])
+def test_density_vanishes_at_infinity(r):
+    law = ChiLaw(r, 0.25)
+    assert chi_log_density(law, math.inf) == -math.inf
+    assert chi_density(law, math.inf) == 0.0
+    s = np.array([0.0, 0.5, math.inf, 2.0, math.inf])
+    logs = chi_log_density(law, s)
+    dens = chi_density(law, s)
+    finite = np.isfinite(s)
+    assert np.isneginf(logs[~finite]).all() and (dens[~finite] == 0.0).all()
+    assert np.array_equal(logs[finite], chi_log_density(law, s[finite]))
+
+
 def test_ratio_condition_examples():
     assert ratio_condition_holds(2, 0.5, 100_000).holds
     bad = ratio_condition_holds(2, 0.4, 100_000)

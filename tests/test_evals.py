@@ -279,3 +279,15 @@ def test_monte_carlo_evaluators_reject_sample_counts_below_one(count):
     ):
         with pytest.raises(ValueError, match=f"got {count}$"):
             estimate()
+
+
+def test_monte_carlo_evaluators_take_only_rng_handles():
+    a = np.eye(2)
+    gen = RngHandle(60).generator()
+    for estimate in (
+        lambda: discG_mc(a, np.eye(2), 10, gen),
+        lambda: random_signing_baseline(a, 10, gen),
+        lambda: online_discG(a, unit_rows(2, 2, 61), 10, gen),
+    ):
+        with pytest.raises(TypeError, match="RngHandle"):
+            estimate()

@@ -8,7 +8,6 @@ from discforge.linalg import (
     check_correlation,
     check_psd,
     cholesky_rank,
-    gaussian_vector,
     psd_cholesky,
     read_matrix,
     top_eigvec,
@@ -98,40 +97,6 @@ def test_top_eigvec_no_convergence_on_tight_spectrum():
     s = np.diag([1.0, 0.999])
     with pytest.raises(NoConvergenceError):
         top_eigvec(s, tol=1e-12, max_iter=50)
-
-
-def test_gaussian_vector_zero_covariance():
-    assert np.array_equal(gaussian_vector(np.zeros((4, 4)), RngHandle(0)), np.zeros(4))
-
-
-def test_gaussian_vector_identity_covariance_lln():
-    n, draws = 4, 100_000
-    gen = RngHandle(7).generator()
-    xs = np.vstack([gaussian_vector(np.eye(n), gen) for _ in range(64)])
-    # bulk of the draws vectorized through the same law for speed
-    l = psd_cholesky(np.eye(n))
-    xs = np.vstack([xs, (l @ gen.standard_normal((n, draws - 64))).T])
-    cov = np.cov(xs, rowvar=False, ddof=1)
-    assert np.abs(cov - np.eye(n)).max() < 0.05
-
-
-def test_gaussian_vector_signing_coupling_has_equal_magnitudes():
-    sigma = np.array([1.0, -1.0, 1.0, -1.0])
-    cov = np.outer(sigma, sigma)
-    gen = RngHandle(8).generator()
-    for _ in range(50):
-        g = gaussian_vector(cov, gen)
-        assert np.allclose(np.abs(g), np.abs(g[0]), atol=1e-12)
-        assert np.allclose(g * sigma, g[0] * sigma[0], atol=1e-12)
-
-
-def test_gaussian_vector_rank_one_is_collinear():
-    x = np.array([0.3, -2.0, 1.1])
-    gen = RngHandle(9).generator()
-    for _ in range(25):
-        g = gaussian_vector(np.outer(x, x), gen)
-        # cross products vanish exactly for scalar multiples
-        assert np.linalg.norm(np.cross(g, x)) < 1e-9
 
 
 def test_check_psd_and_correlation():

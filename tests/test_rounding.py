@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +59,10 @@ def test_gw_round_identity_gives_fair_coins():
     outs = np.array([gw_round(np.eye(n), gen) for _ in range(draws)])
     se = 1.0 / math.sqrt(draws)
     assert np.abs(outs.mean(axis=0)).max() <= 3.0 * se
+
+
+def test_gw_round_zero_covariance_rounds_up():
+    assert np.array_equal(gw_round(np.zeros((4, 4)), RngHandle(0)), np.ones(4))
 
 
 def test_pca_round_rank_one_recovers_signing():
@@ -157,3 +163,13 @@ def test_rounding_experiment_small():
         rounding_experiment("spencer", 100, 1, RngHandle(0))
     with pytest.raises(ValueError, match="trial count must be at least 1, got 0$"):
         rounding_experiment("spencer", 102, 0, RngHandle(0))
+
+
+def test_calibration_tool_runs(capsys):
+    path = Path(__file__).resolve().parents[1] / "tools" / "calibrate_rounding.py"
+    spec = importlib.util.spec_from_file_location("calibrate_rounding", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool.pilot("spencer", 22, 2, RngHandle(1))
+    out = capsys.readouterr().out
+    assert out.startswith("--- spencer n=22 ") and "gw: mean ratio" in out
