@@ -20,7 +20,6 @@ from .evals import (
 from .instances import InstanceSpec, gen, komlos_normalize, unit_columns
 from .kernel import (
     KernelParams,
-    SliceSpec,
     advance_chain_batch,
     kernel_step,
     kernel_step_batch,

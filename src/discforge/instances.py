@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BadSpecError
 from .linalg import read_matrix
-from .rng import RngHandle, as_generator
+from .rng import RngHandle
 
 __all__ = ["InstanceSpec", "KINDS", "gen", "komlos_normalize", "unit_columns"]
 
@@ -48,9 +48,10 @@ def _require(spec: InstanceSpec, *names: str) -> list[int]:
     return vals
 
 
-def unit_columns(m: int, t: int, rng: RngHandle | np.random.Generator) -> np.ndarray:
-    """m x t matrix with columns uniform on the unit sphere."""
-    gen = as_generator(rng)
+def unit_columns(m: int, t: int, rng: RngHandle) -> np.ndarray:
+    """m x t matrix with columns uniform on the unit sphere, drawn from the
+    start of rng's stream."""
+    gen = rng.generator()
     cols = gen.standard_normal((m, t))
     norms = np.linalg.norm(cols, axis=0)
     for _ in range(100):
@@ -87,7 +88,7 @@ def gen(spec: InstanceSpec) -> np.ndarray:
         from .rounding import make_planted
 
         m, n = _require(spec, "m", "n")
-        return make_planted(int(m), int(n), spec.seed).a
+        return make_planted(int(m), int(n), spec.seed.generator()).a
     raise BadSpecError(f"unknown instance kind {kind!r}")
 
 

@@ -12,24 +12,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .chilaw import sigma_star
 from .errors import BadVarianceError, DimMismatchError, InfeasibleSliceError
-from .rng import RngHandle, as_generator
 
 __all__ = [
     "KernelParams",
-    "SliceSpec",
     "slice_feasible",
     "slice_sample",
     "kernel_step",
     "run_chain",
     "kernel_step_batch",
     "advance_chain_batch",
-    "write_trajectory",
 ]
 
 # Additive slack for the feasibility interval and the mixture-weight clamp.
@@ -56,14 +52,6 @@ class KernelParams:
             )
 
 
-@dataclass(frozen=True)
-class SliceSpec:
-    """Current point x and target radius s for a unit-step slice."""
-
-    x: np.ndarray
-    s: float
-
-
 def _axis_offset(norm_x: float, s: float) -> float:
     """Signed component along x/||x|| of the unit step reaching radius s."""
     return ((s - norm_x) * (s + norm_x) - 1.0) / (2.0 * norm_x)
@@ -79,7 +67,7 @@ def _norm(x: np.ndarray) -> float:
     return t
 
 
-def slice_feasible(spec: SliceSpec) -> bool:
+def slice_feasible(x: np.ndarray, s: float) -> bool:
     """Whether some y has ||y - x|| = 1 and ||y|| = s.
 
     Equivalent to (||x|| - 1)^2 <= s^2 <= (||x|| + 1)^2, checked with a
@@ -89,8 +77,8 @@ def slice_feasible(spec: SliceSpec) -> bool:
     the radii are; the slack is FEAS_ATOL * c^2 before scaling. A radius
     or state norm that is not finite admits no step.
     """
-    x = np.asarray(spec.x, dtype=float)
-    s = float(spec.s)
+    x = np.asarray(x, dtype=float)
+    s = float(s)
     t = _norm(x)
     if not (0.0 <= s < math.inf and t < math.inf):
         return False
@@ -111,7 +99,7 @@ def _orthogonal_unit(x_hat: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     raise InfeasibleSliceError("could not draw a direction orthogonal to x")
 
 
-def slice_sample(spec: SliceSpec, rng: RngHandle | np.random.Generator) -> np.ndarray:
+def slice_sample(x: np.ndarray, s: float, gen: np.random.Generator) -> np.ndarray:
     """Uniform unit step u with ||x + u|| = s.
 
     For x = 0 the step is uniform on the unit sphere. Otherwise it
@@ -119,12 +107,11 @@ def slice_sample(spec: SliceSpec, rng: RngHandle | np.random.Generator) -> np.nd
     orthogonal to it; at the feasibility boundary the orthogonal part
     vanishes and the slice is a single point.
     """
-    x = np.asarray(spec.x, dtype=float)
-    s = float(spec.s)
+    x = np.asarray(x, dtype=float)
+    s = float(s)
     t = _norm(x)
-    if not slice_feasible(spec):
+    if not slice_feasible(x, s):
         raise InfeasibleSliceError(f"no unit step from ||x||={t:.6g} reaches radius {s}")
-    gen = as_generator(rng)
     if t == 0.0:
         return _orthogonal_unit(x, gen)
     lam = min(1.0, max(-1.0, _axis_offset(t, s)))
@@ -148,33 +135,26 @@ def _reflection_weight(params: KernelParams, t: float) -> float:
     return min(p, 1.0)
 
 
-def kernel_step(
-    params: KernelParams, x: np.ndarray, rng: RngHandle | np.random.Generator
-) -> np.ndarray:
+def kernel_step(params: KernelParams, x: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Unit increment u of one kernel transition; the next state is x + u."""
     x = np.asarray(x, dtype=float)
     if x.shape != (params.r,):
         raise DimMismatchError(f"state has shape {x.shape}, expected ({params.r},)")
-    gen = as_generator(rng)
     t = _norm(x)
     if t == 0.0:
-        return slice_sample(SliceSpec(x, 1.0), gen)
+        return slice_sample(x, 1.0, gen)
     if t < 0.5 or (t < 1.0 and gen.random() < _reflection_weight(params, t)):
         return x / -t
-    return slice_sample(SliceSpec(x, t), gen)
+    return slice_sample(x, t, gen)
 
 
 def run_chain(
-    params: KernelParams,
-    x0: np.ndarray,
-    steps: int,
-    rng: RngHandle | np.random.Generator,
+    params: KernelParams, x0: np.ndarray, steps: int, gen: np.random.Generator
 ) -> np.ndarray:
     """Trajectory of steps+1 points starting at x0; rows are states."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (params.r,):
         raise DimMismatchError(f"x0 has shape {x0.shape}, expected ({params.r},)")
-    gen = as_generator(rng)
     traj = np.empty((steps + 1, params.r))
     traj[0] = x0
     for k in range(steps):
@@ -183,7 +163,7 @@ def run_chain(
 
 
 def kernel_step_batch(
-    params: KernelParams, xs: np.ndarray, rng: RngHandle | np.random.Generator
+    params: KernelParams, xs: np.ndarray, gen: np.random.Generator
 ) -> np.ndarray:
     """Unit increments (rows) of one kernel step from each state (row) of xs.
 
@@ -195,7 +175,6 @@ def kernel_step_batch(
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != params.r:
         raise DimMismatchError(f"batch has shape {xs.shape}, expected (N, {params.r})")
-    gen = as_generator(rng)
     n = xs.shape[0]
     t = np.linalg.norm(xs, axis=1)
 
@@ -221,7 +200,7 @@ def kernel_step_batch(
     slide = ~reflect & ~origin
 
     for i in np.flatnonzero(origin):
-        us[i] = slice_sample(SliceSpec(xs[i], 1.0), gen)
+        us[i] = slice_sample(xs[i], 1.0, gen)
 
     us[reflect] = xs[reflect] / -t[reflect][:, None]
 
@@ -241,22 +220,11 @@ def kernel_step_batch(
 
 
 def advance_chain_batch(
-    params: KernelParams,
-    x0s: np.ndarray,
-    steps: int,
-    rng: RngHandle | np.random.Generator,
+    params: KernelParams, x0s: np.ndarray, steps: int, gen: np.random.Generator
 ) -> np.ndarray:
     """Run N independent chains for the given number of steps; returns the
     final states only."""
-    gen = as_generator(rng)
     xs = np.asarray(x0s, dtype=float).copy()
     for _ in range(steps):
         xs += kernel_step_batch(params, xs, gen)
     return xs
-
-
-def write_trajectory(path: str | Path, traj: np.ndarray) -> None:
-    """Dump one point per line, coordinates space-separated (no header)."""
-    traj = np.asarray(traj, dtype=float)
-    lines = [" ".join(repr(float(v)) for v in row) for row in np.atleast_2d(traj)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

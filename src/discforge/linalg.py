@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimMismatchError, NoConvergenceError, NotPsdError
-from .rng import RngHandle, as_generator
 
 __all__ = [
     "check_matrix",
@@ -35,8 +34,6 @@ SYM_RTOL = 1e-12
 EIG_RTOL = 1e-9
 # Unit-diagonal slack for correlation matrices.
 DIAG_ATOL = 1e-10
-
-_DEFAULT_EIG_RNG = RngHandle(0x9E3779B97F4A7C15, 0)
 
 
 def check_matrix(a: np.ndarray) -> np.ndarray:
@@ -110,30 +107,21 @@ def cholesky_rank(l: np.ndarray) -> int:
 
 
 def top_eigvec(
-    s: np.ndarray,
-    tol: float = 1e-9,
-    *,
-    rng: RngHandle | np.random.Generator | None = None,
-    init: np.ndarray | None = None,
-    max_iter: int = 10_000,
+    s: np.ndarray, init: np.ndarray, tol: float = 1e-9, max_iter: int = 10_000
 ) -> np.ndarray:
-    """Dominant unit eigenvector of a nonzero PSD matrix via power iteration.
+    """Dominant unit eigenvector of a nonzero PSD matrix via power iteration
+    from the nonzero start vector ``init``.
 
-    Stops once ||s v - l v|| <= tol * l with l = vT s v. The start vector
-    comes from ``init`` when given, otherwise from ``rng`` (a fixed default
-    handle when omitted, so repeated calls are deterministic). Raises
-    NoConvergenceError after ``max_iter`` sweeps, which in practice signals
-    a near-degenerate top of the spectrum.
+    Stops once ||s v - l v|| <= tol * l with l = vT s v. When the top
+    eigenvalue is not simple, the iterates approach the normalized
+    projection of ``init`` onto its eigenspace. Raises NoConvergenceError
+    after ``max_iter`` sweeps, which in practice signals a near-degenerate
+    top of the spectrum.
     """
     s = check_symmetric(s)
-    n = s.shape[0]
     if float(np.abs(s).max(initial=0.0)) == 0.0:
         raise ValueError("top_eigvec needs a nonzero matrix")
-    if init is not None:
-        v = np.asarray(init, dtype=float).copy()
-    else:
-        gen = as_generator(rng if rng is not None else _DEFAULT_EIG_RNG)
-        v = gen.standard_normal(n)
+    v = np.asarray(init, dtype=float).copy()
     nv = np.linalg.norm(v)
     if nv == 0.0:
         raise ValueError("zero initialization vector")

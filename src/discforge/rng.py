@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RngHandle", "as_generator"]
+__all__ = ["RngHandle"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -50,16 +50,3 @@ class RngHandle:
         """
         base = (self.stream * 0x100000001B3 + int(index) + 1) & _MASK64
         return RngHandle(self.seed, _mix64(base))
-
-
-def as_generator(rng: RngHandle | np.random.Generator) -> np.random.Generator:
-    """Coerce a handle or generator to a generator.
-
-    Handles yield a fresh deterministic generator; passing a generator
-    through lets sequential code keep advancing one stream.
-    """
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, RngHandle):
-        return rng.generator()
-    raise TypeError(f"expected RngHandle or numpy Generator, got {type(rng).__name__}")

@@ -22,7 +22,7 @@ from .evals import discG_mc, random_signing_baseline
 from .linalg import psd_cholesky, top_eigvec
 from .parallel import map_trials
 from .report import ExperimentReport, check_trials, verdict
-from .rng import RngHandle, as_generator
+from .rng import RngHandle
 
 __all__ = [
     "PlantedInstance",
@@ -74,7 +74,6 @@ class PlantedInstance:
     c: np.ndarray
     s: np.ndarray
     sigma: np.ndarray
-    seed: RngHandle | None
 
 
 def _trig_vectors(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -83,46 +82,36 @@ def _trig_vectors(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(angle), np.sin(angle)
 
 
-def make_planted(
-    m: int, n: int, rng: RngHandle | np.random.Generator
-) -> PlantedInstance:
+def make_planted(m: int, n: int, gen: np.random.Generator) -> PlantedInstance:
     """Sample an m x n matrix with i.i.d. rows isotropic on the orthogonal
     complement of the trig plane."""
     if n % 4 != 2 or n < 6:
         raise BadSizeError(f"planted instances need n = 2 (mod 4), n >= 6; got {n}")
     c, s = _trig_vectors(n)
-    gen = as_generator(rng)
     g = gen.standard_normal((m, n))
     a = g - (2.0 / n) * np.outer(g @ c, c) - (2.0 / n) * np.outer(g @ s, s)
     sigma = np.outer(c, c) + np.outer(s, s)
-    seed = rng if isinstance(rng, RngHandle) else None
-    return PlantedInstance(m=m, n=n, a=a, c=c, s=s, sigma=sigma, seed=seed)
+    return PlantedInstance(m=m, n=n, a=a, c=c, s=s, sigma=sigma)
 
 
-def gw_round(
-    sigma: np.ndarray, rng: RngHandle | np.random.Generator
-) -> np.ndarray:
+def gw_round(sigma: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Sign pattern of one N(0, sigma) draw L xi with L = psd_cholesky(sigma);
     zeros round up to +1."""
     sigma = np.asarray(sigma, dtype=float)
-    g = psd_cholesky(sigma) @ as_generator(rng).standard_normal(sigma.shape[0])
+    g = psd_cholesky(sigma) @ gen.standard_normal(sigma.shape[0])
     return np.where(g >= 0.0, 1.0, -1.0)
 
 
-def pca_round(
-    sigma: np.ndarray,
-    *,
-    rng: RngHandle | np.random.Generator | None = None,
-    init: np.ndarray | None = None,
-) -> np.ndarray:
-    """Sign pattern of a dominant eigenvector; zeros round up to +1.
+def pca_round(sigma: np.ndarray, init: np.ndarray) -> np.ndarray:
+    """Sign pattern of the dominant eigenvector that power iteration reaches
+    from ``init``; zeros round up to +1.
 
-    When the top eigenvalue is not simple the returned signing depends on
-    the start vector (for a fully degenerate spectrum such as the identity
-    it is just the sign of the start vector), so callers wanting a
-    reproducible tie-break should pass ``init``.
+    When the top eigenvalue is not simple the start vector breaks the tie:
+    the signing is that of init's projection onto the top eigenspace, so
+    for a fully degenerate spectrum such as the identity it is the sign
+    pattern of ``init`` itself.
     """
-    v = top_eigvec(np.asarray(sigma, dtype=float), rng=rng, init=init)
+    v = top_eigvec(np.asarray(sigma, dtype=float), init)
     return np.where(v >= 0.0, 1.0, -1.0)
 
 
@@ -199,7 +188,7 @@ def _trial(
     a_scaled = setting.normalize(inst.a, n)
     w = half_ones(n)
     sig_gw = gw_round(inst.sigma, gen)
-    sig_pca = pca_round(inst.sigma, init=inst.c + 1e-3 * inst.s)
+    sig_pca = pca_round(inst.sigma, inst.c + 1e-3 * inst.s)
     baseline = random_signing_baseline(a_scaled, baseline_samples, rng.substream(1))
     planted = discG_mc(a_scaled, inst.sigma, mc_samples, rng.substream(2))
     return {

@@ -27,7 +27,6 @@ from discforge.evals import (
 from discforge.instances import unit_columns
 from discforge.kernel import (
     KernelParams,
-    SliceSpec,
     advance_chain_batch,
     kernel_step,
     kernel_step_batch,
@@ -391,7 +390,7 @@ def test_criterion_13_slice_sampler():
             s2 = gen.uniform((t - 1.0) ** 2, (t + 1.0) ** 2)
             d = gen.standard_normal(r)
             x = t * d / np.linalg.norm(d)
-            u = slice_sample(SliceSpec(x, math.sqrt(s2)), gen)
+            u = slice_sample(x, math.sqrt(s2), gen)
             worst = max(
                 worst,
                 abs(float(np.linalg.norm(u)) - 1.0),
@@ -408,7 +407,7 @@ def test_criterion_13_slice_sampler():
         basis = np.eye(r)[1:]
         angles = []
         for _ in range(draws):
-            w = slice_sample(SliceSpec(x, 2.0), gen)
+            w = slice_sample(x, 2.0, gen)
             angles.append(math.atan2(float(w @ basis[1]), float(w @ basis[0])))
         res = ks_test(
             np.asarray(angles), lambda v: (np.asarray(v) + math.pi) / (2.0 * math.pi), 0.01
@@ -419,7 +418,7 @@ def test_criterion_13_slice_sampler():
     # r = 2: the slice has two points, each carrying half the mass
     gen = SEED.substream(1320).generator()
     x = np.array([2.0, 0.0])
-    ys = np.array([slice_sample(SliceSpec(x, 2.0), gen) for _ in range(draws)])
+    ys = np.array([slice_sample(x, 2.0, gen) for _ in range(draws)])
     up = ys[:, 1] > 0.0
     assert np.abs(np.abs(ys[:, 1]) - math.sqrt(1.0 - 1.0 / 16.0)).max() < 1e-9
     assert abs(up.mean() - 0.5) <= 3.0 * 0.5 / math.sqrt(draws)

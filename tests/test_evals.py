@@ -76,7 +76,7 @@ def test_vdisc_objective_examples():
 
 
 def test_vdisc_planted_coupling_is_zero():
-    inst = make_planted(20, 102, RngHandle(25))
+    inst = make_planted(20, 102, RngHandle(25).generator())
     u = np.column_stack([inst.c, inst.s])  # trig rows, unit norm
     # the rows of A kill span{c, s}, so A @ U vanishes to rounding error
     assert vdisc_objective_units(inst.a, u) < 1e-8
@@ -118,7 +118,7 @@ def test_discs_objective():
 
 
 def test_discs_planted_direction_is_zero():
-    inst = make_planted(15, 102, RngHandle(29))
+    inst = make_planted(15, 102, RngHandle(29).generator())
     x = inst.c + inst.s
     x *= math.sqrt(inst.n) / np.linalg.norm(x)
     assert discs_objective(inst.a, x) < 1e-8
@@ -132,7 +132,7 @@ def test_discg_scalar_instance():
 
 
 def test_discg_planted_cancellation():
-    inst = make_planted(10, 102, RngHandle(32))
+    inst = make_planted(10, 102, RngHandle(32).generator())
     est = discG_mc(inst.a, inst.sigma, 2000, RngHandle(33))
     assert est.mean <= 1e-6
 
@@ -264,7 +264,7 @@ def test_random_signing_baseline_planted_scale():
     # the planted family needs n = 2 (mod 4); 514 is the size closest to 512
     n = 514
     m = int(n / math.log(n))
-    inst = make_planted(m, n, RngHandle(54))
+    inst = make_planted(m, n, RngHandle(54).generator())
     est = random_signing_baseline(inst.a, 400, RngHandle(55))
     assert est.mean <= 4.0 * math.sqrt(n * math.log(n))
 

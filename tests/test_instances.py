@@ -5,6 +5,7 @@ from discforge.errors import BadSpecError
 from discforge.instances import InstanceSpec, gen, komlos_normalize, unit_columns
 from discforge.linalg import write_matrix
 from discforge.rng import RngHandle
+from discforge.rounding import make_planted
 
 
 def test_identity():
@@ -35,6 +36,8 @@ def test_planted_delegation():
     j = np.arange(1, 103)
     c = np.cos(2 * np.pi * j / 102)
     assert np.abs(a @ c).max() < 1e-8
+    # the handle's generator feeds make_planted from the start of its stream
+    assert np.array_equal(a, make_planted(6, 102, RngHandle(83).generator()).a)
 
 
 def test_from_file(tmp_path):

@@ -13,14 +13,12 @@ from discforge.errors import (
 )
 from discforge.kernel import (
     KernelParams,
-    SliceSpec,
     advance_chain_batch,
     kernel_step,
     kernel_step_batch,
     run_chain,
     slice_feasible,
     slice_sample,
-    write_trajectory,
 )
 from discforge.rng import RngHandle
 
@@ -35,20 +33,20 @@ def test_params_validation():
 
 
 def test_slice_feasible_examples():
-    assert not slice_feasible(SliceSpec(np.array([3.0, 0.0]), 0.5))
-    assert slice_feasible(SliceSpec(np.array([1.0, 0.0]), 1.0))
-    assert slice_feasible(SliceSpec(np.zeros(2), 1.0))
-    assert not slice_feasible(SliceSpec(np.zeros(2), 0.5))
-    assert not slice_feasible(SliceSpec(np.array([1.0, 0.0]), -0.5))
+    assert not slice_feasible(np.array([3.0, 0.0]), 0.5)
+    assert slice_feasible(np.array([1.0, 0.0]), 1.0)
+    assert slice_feasible(np.zeros(2), 1.0)
+    assert not slice_feasible(np.zeros(2), 0.5)
+    assert not slice_feasible(np.array([1.0, 0.0]), -0.5)
 
 
 def test_slice_sample_unique_point():
     x = np.array([0.3, 0.0])
-    y = x + slice_sample(SliceSpec(x, 0.7), RngHandle(0))
+    y = x + slice_sample(x, 0.7, RngHandle(0).generator())
     assert np.allclose(y, (-7.0 / 3.0) * x, atol=1e-12)
     # generic direction too
     x = np.array([0.18, -0.24])  # norm 0.3
-    y = x + slice_sample(SliceSpec(x, 0.7), RngHandle(0))
+    y = x + slice_sample(x, 0.7, RngHandle(0).generator())
     assert np.allclose(y, ((0.3 - 1.0) / 0.3) * x, atol=1e-9)
 
 
@@ -56,7 +54,7 @@ def test_slice_sample_split_point():
     gen = RngHandle(5).generator()
     x = np.array([1.0, 0.0])
     for _ in range(20):
-        y = x + slice_sample(SliceSpec(x, 1.0), gen)
+        y = x + slice_sample(x, 1.0, gen)
         assert abs(np.linalg.norm(y) - 1.0) < 1e-9
         assert abs(np.linalg.norm(y - x) - 1.0) < 1e-9
         assert abs(y[0] - 0.5) < 1e-9
@@ -65,7 +63,7 @@ def test_slice_sample_split_point():
 
 def test_slice_sample_origin_is_uniform_sphere():
     gen = RngHandle(6).generator()
-    ys = np.array([slice_sample(SliceSpec(np.zeros(3), 1.0), gen) for _ in range(4000)])
+    ys = np.array([slice_sample(np.zeros(3), 1.0, gen) for _ in range(4000)])
     assert np.abs(np.linalg.norm(ys, axis=1) - 1.0).max() < 1e-9
     assert np.abs(ys.mean(axis=0)).max() < 3.0 / math.sqrt(4000) * 1.5
 
@@ -73,7 +71,7 @@ def test_slice_sample_origin_is_uniform_sphere():
 def test_slice_sample_rotational_symmetry():
     gen = RngHandle(7).generator()
     x = np.array([2.0, 0.0])
-    ys = np.array([slice_sample(SliceSpec(x, 2.0), gen) for _ in range(10_000)])
+    ys = np.array([slice_sample(x, 2.0, gen) for _ in range(10_000)])
     signs = ys[:, 1] > 0
     # sign of the off-axis component is a fair coin: 3 binomial sigmas
     dev = abs(signs.mean() - 0.5)
@@ -82,17 +80,17 @@ def test_slice_sample_rotational_symmetry():
 
 def test_slice_sample_infeasible():
     with pytest.raises(InfeasibleSliceError):
-        slice_sample(SliceSpec(np.array([3.0, 0.0]), 0.5), RngHandle(0))
+        slice_sample(np.array([3.0, 0.0]), 0.5, RngHandle(0).generator())
     # ||x||^2 overflows, but ||x|| is measured rescaled: the step is a unit
     # vector that lands on the slice
     x = np.array([1e155, 0.0, 0.0])
     with np.errstate(over="ignore"):
-        u = slice_sample(SliceSpec(x, 1e155), RngHandle(0))
-        assert not slice_feasible(SliceSpec(x, 3e155))
-        assert not slice_feasible(SliceSpec(np.array([1e300, 1e300]), 1e300))
+        u = slice_sample(x, 1e155, RngHandle(0).generator())
+        assert not slice_feasible(x, 3e155)
+        assert not slice_feasible(np.array([1e300, 1e300]), 1e300)
     assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
     assert abs(np.linalg.norm((x + u) / 1e155) - 1.0) <= 1e-12
-    assert not slice_feasible(SliceSpec(np.array([np.inf, 0.0]), 1.0))
+    assert not slice_feasible(np.array([np.inf, 0.0]), 1.0)
 
 
 def test_kernel_step_inner_branch():
@@ -117,7 +115,7 @@ def test_kernel_step_outer_branch_preserves_radius():
 
 def test_kernel_step_dimension_check():
     with pytest.raises(DimMismatchError):
-        kernel_step(KernelParams(3, 1.0), np.zeros(2), RngHandle(0))
+        kernel_step(KernelParams(3, 1.0), np.zeros(2), RngHandle(0).generator())
 
 
 def test_kernel_step_mixture_weight_matches_density_ratio():
@@ -125,7 +123,7 @@ def test_kernel_step_mixture_weight_matches_density_ratio():
     params = KernelParams(r, sigma2)
     x = np.full((100_000, r), 0.0)
     x[:, 0] = t
-    ys = x + kernel_step_batch(params, x, RngHandle(3))
+    ys = x + kernel_step_batch(params, x, RngHandle(3).generator())
     radii = np.linalg.norm(ys, axis=1)
     frac = float(np.mean(np.abs(radii - (1.0 - t)) < 1e-9))
     law = ChiLaw(r, sigma2)
@@ -148,9 +146,9 @@ def test_double_reflection_is_identity():
 
 def test_run_chain_contracts():
     params = KernelParams(3, 1.0 / 8.0)
-    traj = run_chain(params, np.array([0.1, 0.2, 0.2]), 0, RngHandle(4))
+    traj = run_chain(params, np.array([0.1, 0.2, 0.2]), 0, RngHandle(4).generator())
     assert traj.shape == (1, 3)
-    traj = run_chain(params, np.array([0.1, 0.2, 0.2]), 200, RngHandle(4))
+    traj = run_chain(params, np.array([0.1, 0.2, 0.2]), 200, RngHandle(4).generator())
     assert traj.shape == (201, 3)
     steps = np.linalg.norm(np.diff(traj, axis=0), axis=1)
     assert np.abs(steps - 1.0).max() <= 1e-9
@@ -177,7 +175,7 @@ def test_run_chain_stationary_marginal():
 def test_run_chain_outer_start_keeps_radius():
     params = KernelParams(2, 0.25)
     x0 = np.array([1.2, 1.6])  # radius 2
-    traj = run_chain(params, x0, 100, RngHandle(5))
+    traj = run_chain(params, x0, 100, RngHandle(5).generator())
     assert np.abs(np.linalg.norm(traj, axis=1) - 2.0).max() < 1e-9
 
 
@@ -185,7 +183,7 @@ def test_batch_matches_scalar_in_law():
     params = KernelParams(3, 1.0 / 8.0)
     gen = RngHandle(6).generator()
     x0 = 0.9 * gen.standard_normal((4000, 3))
-    batch = x0 + kernel_step_batch(params, x0, RngHandle(7))
+    batch = x0 + kernel_step_batch(params, x0, RngHandle(7).generator())
     scalar = x0 + np.array(
         [kernel_step(params, x0[i], gen) for i in range(x0.shape[0])]
     )
@@ -197,12 +195,12 @@ def test_batch_matches_scalar_in_law():
 
 def test_advance_chain_batch_shape():
     params = KernelParams(2, 0.25)
-    out = advance_chain_batch(params, np.zeros((10, 2)), 5, RngHandle(8))
+    out = advance_chain_batch(params, np.zeros((10, 2)), 5, RngHandle(8).generator())
     assert out.shape == (10, 2)
     # origin rows interleaved with reflecting, mixed and sliding rows
     xs = np.zeros((8, 2))
     xs[1::2] = [[0.3, 0.0], [0.0, -0.7], [1.5, 2.0], [-0.4, 0.4]]
-    us = kernel_step_batch(params, xs, RngHandle(10))
+    us = kernel_step_batch(params, xs, RngHandle(10).generator())
     assert np.abs(np.linalg.norm(us, axis=1) - 1.0).max() <= 1e-12
     from_origin = {tuple(u) for u in us[::2]}
     assert len(from_origin) == 4
@@ -214,15 +212,6 @@ def test_bad_variance_rejected_at_step():
     object.__setattr__(params, "r", 2)
     object.__setattr__(params, "sigma2", 0.1)
     with pytest.raises(BadVarianceError):
-        kernel_step(params, np.array([0.6, 0.0]), RngHandle(9))
+        kernel_step(params, np.array([0.6, 0.0]), RngHandle(9).generator())
     with pytest.raises(BadVarianceError):
-        kernel_step_batch(params, np.array([[0.6, 0.0]]), RngHandle(9))
-
-
-def test_write_trajectory(tmp_path):
-    traj = np.array([[0.0, 1.0], [0.5, 0.25]])
-    path = tmp_path / "traj.txt"
-    write_trajectory(path, traj)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 2
-    assert [float(v) for v in lines[1].split()] == [0.5, 0.25]
+        kernel_step_batch(params, np.array([[0.6, 0.0]]), RngHandle(9).generator())

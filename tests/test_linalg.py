@@ -68,7 +68,7 @@ def test_cholesky_zero_matrix():
 
 
 def test_top_eigvec_diagonal():
-    v = top_eigvec(np.diag([3.0, 1.0]))
+    v = top_eigvec(np.diag([3.0, 1.0]), np.ones(2))
     assert abs(abs(v[0]) - 1.0) < 1e-8 and abs(v[1]) < 1e-8
 
 
@@ -78,7 +78,8 @@ def test_top_eigvec_planted_plane():
     c = np.cos(2 * np.pi * j / n)
     s = np.sin(2 * np.pi * j / n)
     sigma = np.outer(c, c) + np.outer(s, s)
-    v = top_eigvec(sigma, rng=RngHandle(3))
+    # np.ones(n) is orthogonal to the plane, so start from a random vector
+    v = top_eigvec(sigma, RngHandle(3).generator().standard_normal(n))
     lam = float(v @ sigma @ v)
     assert abs(lam - n / 2) < 1e-8
     # v lies in span{c, s}
@@ -88,7 +89,7 @@ def test_top_eigvec_planted_plane():
 
 def test_top_eigvec_rank_one():
     c = np.array([2.0, -1.0, 2.0])
-    v = top_eigvec(np.outer(c, c))
+    v = top_eigvec(np.outer(c, c), np.ones(3))
     direction = c / np.linalg.norm(c)
     assert min(np.linalg.norm(v - direction), np.linalg.norm(v + direction)) < 1e-8
 
@@ -96,7 +97,7 @@ def test_top_eigvec_rank_one():
 def test_top_eigvec_no_convergence_on_tight_spectrum():
     s = np.diag([1.0, 0.999])
     with pytest.raises(NoConvergenceError):
-        top_eigvec(s, tol=1e-12, max_iter=50)
+        top_eigvec(s, np.ones(2), tol=1e-12, max_iter=50)
 
 
 def test_check_psd_and_correlation():

@@ -1,6 +1,10 @@
+import importlib
+import pkgutil
+
 import numpy as np
 
-from discforge.rng import RngHandle, as_generator
+import discforge
+from discforge.rng import RngHandle
 
 
 def test_same_handle_same_draws():
@@ -42,13 +46,13 @@ def test_nested_substreams_do_not_collide():
     assert len(seen) == 40 * 11
 
 
-def test_as_generator_passthrough_and_errors():
-    gen = RngHandle(1).generator()
-    assert as_generator(gen) is gen
-    assert isinstance(as_generator(RngHandle(1)), np.random.Generator)
-    try:
-        as_generator(42)  # type: ignore[arg-type]
-    except TypeError:
-        pass
-    else:
-        raise AssertionError("expected TypeError")
+
+def test_every_exported_name_resolves():
+    checked = 0
+    for info in pkgutil.iter_modules(discforge.__path__):
+        mod = importlib.import_module(f"discforge.{info.name}")
+        names = getattr(mod, "__all__", ())
+        missing = [name for name in names if not hasattr(mod, name)]
+        assert not missing, f"discforge.{info.name}.__all__ names {missing}"
+        checked += len(names)
+    assert checked > 0

@@ -22,7 +22,7 @@ from discforge.rounding import (
 
 
 def test_make_planted_invariants():
-    inst = make_planted(20, 102, RngHandle(60))
+    inst = make_planted(20, 102, RngHandle(60).generator())
     assert abs(inst.c @ inst.s) < 1e-9
     assert abs(inst.c @ inst.c - inst.n / 2) < 1e-9
     assert abs(inst.s @ inst.s - inst.n / 2) < 1e-9
@@ -34,13 +34,13 @@ def test_make_planted_invariants():
 def test_make_planted_rejects_bad_sizes():
     for n in (8, 100, 5, 3):
         with pytest.raises(BadSizeError):
-            make_planted(4, n, RngHandle(0))
+            make_planted(4, n, RngHandle(0).generator())
 
 
 def test_planted_column_norms_are_controlled():
     # entries have variance at most 1, so column norms hover near sqrt(m)
     m = 40
-    inst = make_planted(m, 202, RngHandle(61))
+    inst = make_planted(m, 202, RngHandle(61).generator())
     norms = np.linalg.norm(inst.a, axis=0)
     assert norms.max() <= math.sqrt(m) + 3.0
 
@@ -62,18 +62,21 @@ def test_gw_round_identity_gives_fair_coins():
 
 
 def test_gw_round_zero_covariance_rounds_up():
-    assert np.array_equal(gw_round(np.zeros((4, 4)), RngHandle(0)), np.ones(4))
+    assert np.array_equal(gw_round(np.zeros((4, 4)), RngHandle(0).generator()), np.ones(4))
 
 
 def test_pca_round_rank_one_recovers_signing():
     sigma = np.array([1.0, 1.0, -1.0])
-    out = pca_round(np.outer(sigma, sigma))
+    out = pca_round(np.outer(sigma, sigma), np.ones(3))
     assert np.array_equal(out, sigma) or np.array_equal(out, -sigma)
 
 
 def test_pca_round_identity_returns_signs():
-    out = pca_round(np.eye(5), rng=RngHandle(64))
+    init = RngHandle(64).generator().standard_normal(5)
+    out = pca_round(np.eye(5), init)
     assert np.all(np.abs(out) == 1.0)
+    # a fully degenerate spectrum leaves the tie-break to the start vector
+    assert np.array_equal(out, np.where(init >= 0.0, 1.0, -1.0))
 
 
 def test_shift_examples():
@@ -94,7 +97,7 @@ def test_shift_orbit_index():
 
 def test_planted_rounding_lands_in_shift_orbit():
     n = 102
-    inst = make_planted(10, n, RngHandle(65))
+    inst = make_planted(10, n, RngHandle(65).generator())
     w = half_ones(n)
     gen = RngHandle(66).generator()
     for _ in range(25):
@@ -109,7 +112,7 @@ def test_balanced_sum_norm_is_shift_invariant():
     # the trig rows rotate under shifting, so the planted balanced sum has
     # the same Euclidean norm for every shift of the half-ones vector
     n = 102
-    inst = make_planted(4, n, RngHandle(67))
+    inst = make_planted(4, n, RngHandle(67).generator())
     u = np.column_stack([inst.c, inst.s])
     w = half_ones(n)
     ref = np.linalg.norm(w @ u)

@@ -279,7 +279,7 @@ def test_stream_of_grams_round_trip_mixed_rank():
 
 
 def test_stream_of_grams_rows_match_psd_cholesky():
-    # the incrementally extended factor agrees with the from-scratch one
+    # each prefix's factor is the leading block of the whole stream's factor
     gen = RngHandle(15).generator()
     us_in = gen.standard_normal((10, 4))
     us_in[[2, 7]] = us_in[[1, 0]]  # a repeat before full rank: zero pivot mid-factor

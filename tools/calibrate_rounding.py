@@ -34,7 +34,7 @@ def pilot(setting: str, n: int, trials: int, seed: RngHandle) -> None:
         ap = rules.normalize(inst.a, n)
         feas.append(rules.feasible(ap))
         sig_gw = gw_round(inst.sigma, gen)
-        sig_pca = pca_round(inst.sigma, init=inst.c + 1e-3 * inst.s)
+        sig_pca = pca_round(inst.sigma, inst.c + 1e-3 * inst.s)
         gw_vals.append(np.abs(ap @ sig_gw).max())
         pca_vals.append(np.abs(ap @ sig_pca).max())
     denom = rules.rate(n)
