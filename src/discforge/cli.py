@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -74,10 +75,6 @@ def _seed_handle(args: argparse.Namespace) -> RngHandle:
     return RngHandle(args.seed, args.stream_id)
 
 
-def _seed_record(args: argparse.Namespace) -> dict:
-    return {"seed": args.seed, "stream": args.stream_id}
-
-
 def cmd_walk(args: argparse.Namespace) -> int:
     vs = read_matrix(args.input)
     config = WalkConfig(m=vs.shape[0], r=args.rank, seed=_seed_handle(args))
@@ -105,7 +102,7 @@ def cmd_walk(args: argparse.Namespace) -> int:
         "schema": SCHEMA_VERSION,
         "experiment": "walk",
         "spec": {"input": str(args.input), "m": vs.shape[0], "t": vs.shape[1], "rank": args.rank},
-        "seed": _seed_record(args),
+        "seed": asdict(config.seed),
         "summary": {
             "final_disc_2inf": float(run.running_max[-1]) if run.us.shape[0] else 0.0
         },
@@ -145,7 +142,7 @@ def cmd_stationarity(args: argparse.Namespace) -> int:
     report = ExperimentReport(
         name="stationarity",
         spec={"r": args.r, "sigma": args.sigma, "runs": args.runs, "steps": args.steps, "level": args.level},
-        seed=_seed_record(args),
+        seed=asdict(handle),
         metrics=[{"ks_radius": radius.to_dict(), "ks_coords": [c.to_dict() for c in coords]}],
         summary={"ks_radius": radius.to_dict(), "cov_max_abs_deviation": cov.max_abs_deviation},
         verdicts=verdicts,
@@ -183,15 +180,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise DiscforgeError("discg needs --coupling and --seed")
         paths.append(args.coupling)
         est = discG_mc(a, read_matrix(args.coupling), args.samples, _seed_handle(args))
-        value, std_error, samples = est.mean, est.std_error, est.samples
-        seed = _seed_record(args)
+        value, std_error, samples, seed = est.mean, est.std_error, est.samples, asdict(est.seed)
     elif op == "online-discg":
         if not args.stream or args.seed is None:
             raise DiscforgeError("online-discg needs --stream and --seed")
         paths.append(args.stream)
         est = online_discG(a, read_matrix(args.stream), args.samples, _seed_handle(args))
-        value, std_error, samples = est.mean, est.std_error, est.samples
-        seed = _seed_record(args)
+        value, std_error, samples, seed = est.mean, est.std_error, est.samples, asdict(est.seed)
     else:
         raise DiscforgeError(f"unknown evaluator {op!r}")
     _emit(
@@ -231,6 +226,8 @@ def _banaszczyk_trial(
 
 def cmd_banaszczyk(args: argparse.Namespace) -> int:
     check_trials(args.trials)
+    if not 0.0 < args.delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {args.delta}")
     rank = args.rank or banaszczyk_rank(args.m, args.t, args.delta)
     handle = _seed_handle(args)
     threshold = BANASZCZYK_FACTOR * math.sqrt(math.log(2.0 * args.m * args.t / args.delta))
@@ -249,7 +246,7 @@ def cmd_banaszczyk(args: argparse.Namespace) -> int:
             "m": args.m, "t": args.t, "delta": args.delta, "rank": rank,
             "samples": args.samples, "trials": args.trials,
         },
-        seed=_seed_record(args),
+        seed=asdict(handle),
         metrics=metrics,
         summary={
             "threshold": threshold,
@@ -263,10 +260,10 @@ def cmd_banaszczyk(args: argparse.Namespace) -> int:
     return _finish(args, report)
 
 
-def bench_per_round(
-    m: int, big_t: int, rank: int, reps: int = 5, seed: int = 0
-) -> dict:
+def bench_per_round(m: int, big_t: int, rank: int, reps: int, seed: int) -> dict:
     """Median per-round wall time of the walk at the given shape."""
+    if big_t < 1 or reps < 1:
+        raise ValueError(f"bench needs t >= 1 and reps >= 1, got t={big_t}, reps={reps}")
     handle = RngHandle(seed)
     times = []
     for rep in range(reps):
@@ -285,36 +282,17 @@ def bench_per_round(
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    result = bench_per_round(args.m, args.t, args.rank, args.reps, args.seed or 0)
+    result = bench_per_round(args.m, args.t, args.rank, args.reps, args.seed)
     print(json.dumps(result, sort_keys=True))
     return 0
 
 
-def _parse_config_file(path: str) -> dict:
-    params: dict = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        try:
-            params[key] = int(val)
-        except ValueError:
-            try:
-                params[key] = float(val)
-            except ValueError:
-                params[key] = val
-    return params
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
-    params = _parse_config_file(args.config) if args.config else {}
-    for name in ("m", "n", "t", "scale", "path"):
-        val = getattr(args, name, None)
-        if val is not None:
-            params[name] = val
+    params = {
+        name: getattr(args, name)
+        for name in ("m", "n", "t", "scale", "path")
+        if getattr(args, name) is not None
+    }
     seed = _seed_handle(args) if args.seed is not None else None
     spec = InstanceSpec(kind=args.kind, params=params, seed=seed)
     a = gen_instance(spec)
@@ -402,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--scale", type=float, default=None)
     p.add_argument("--path", default=None)
-    p.add_argument("--config", default=None, help="key=value file with extra parameters")
     p.set_defaults(func=cmd_gen)
 
     return parser

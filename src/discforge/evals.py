@@ -91,10 +91,10 @@ def _check_sampling(samples: int, rng: RngHandle) -> None:
         raise TypeError(f"Monte Carlo evaluators take an RngHandle, got {type(rng).__name__}")
 
 
-def _block_plan(samples: int, block: int = MC_BLOCK) -> list[int]:
-    sizes = [block] * (samples // block)
-    if samples % block:
-        sizes.append(samples % block)
+def _block_plan(samples: int) -> list[int]:
+    sizes = [MC_BLOCK] * (samples // MC_BLOCK)
+    if samples % MC_BLOCK:
+        sizes.append(samples % MC_BLOCK)
     return sizes
 
 
@@ -176,8 +176,8 @@ def discs_objective(a: np.ndarray, x: np.ndarray) -> float:
 def discG_mc(
     a: np.ndarray,
     sigma: np.ndarray,
-    samples: int = 100_000,
-    rng: RngHandle = RngHandle(0),
+    samples: int,
+    rng: RngHandle,
 ) -> McEstimate:
     """Monte Carlo estimate of E ||A g||_inf for g ~ N(0, Sigma)."""
     _check_sampling(samples, rng)
@@ -200,8 +200,8 @@ def discG_mc(
 def online_discG(
     vs: np.ndarray,
     us: np.ndarray,
-    samples: int = 100_000,
-    rng: RngHandle = RngHandle(0),
+    samples: int,
+    rng: RngHandle,
 ) -> McEstimate:
     """Largest-prefix expected sup norm max_t E ||sum_{s<=t} g_s v_s||_inf
     where g has the Gram matrix of the stream rows.
@@ -311,11 +311,7 @@ def triangle_rank2(
     return signs[:, None] * w[block_of]
 
 
-def random_signing_baseline(
-    a: np.ndarray,
-    trials: int = 100_000,
-    rng: RngHandle = RngHandle(0),
-) -> McEstimate:
+def random_signing_baseline(a: np.ndarray, trials: int, rng: RngHandle) -> McEstimate:
     """Monte Carlo mean of ||A sigma||_inf over uniform random signings."""
     _check_sampling(trials, rng)
     a = np.asarray(a, dtype=float)

@@ -37,15 +37,13 @@ MAX_REDRAWS = 100
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Dimension r >= 2 and variance sigma2 >= 1 / (4 (r - 1))."""
+    """Dimension r >= 2 and variance sigma2 >= sigma_star(r)^2."""
 
     r: int
     sigma2: float
 
     def __post_init__(self) -> None:
-        if self.r < 2:
-            sigma_star(self.r)  # raises RankTooSmallError
-        floor = 1.0 / (4.0 * (self.r - 1.0))
+        floor = sigma_star(self.r) ** 2  # raises RankTooSmallError for r < 2
         if self.sigma2 < floor - 1e-12:
             raise BadVarianceError(
                 f"sigma2={self.sigma2} below the admissible floor {floor} for r={self.r}"
@@ -58,34 +56,32 @@ def _axis_offset(norm_x: float, s: float) -> float:
 
 
 def _norm(x: np.ndarray) -> float:
-    """||x||, rescaled by max|x| when the plain sum of squares overflows
-    (||x|| beyond about 1.3e154) though every entry is finite."""
-    t = float(np.linalg.norm(x))
-    if t == math.inf and np.isfinite(x).all():
-        a = float(np.abs(x).max())
-        t = a * float(np.linalg.norm(x / a))
-    return t
+    """||x|| of a vector; math.hypot scales internally, so no square
+    overflows or underflows for any finite x."""
+    return math.hypot(*x.tolist())
 
 
-def slice_feasible(x: np.ndarray, s: float) -> bool:
-    """Whether some y has ||y - x|| = 1 and ||y|| = s.
+def _feasible(t: float, s: float) -> bool:
+    """Whether a unit step from a point of norm t reaches radius s.
 
-    Equivalent to (||x|| - 1)^2 <= s^2 <= (||x|| + 1)^2, checked with a
-    small slack so boundary slices built in floating point (the
-    single-point cases) stay feasible. Both sides are divided by
-    c^2 = max(1, s, ||x||)^2, which keeps the squares finite however large
-    the radii are; the slack is FEAS_ATOL * c^2 before scaling. A radius
-    or state norm that is not finite admits no step.
+    Equivalent to (t - 1)^2 <= s^2 <= (t + 1)^2, checked with a small
+    slack so boundary slices built in floating point (the single-point
+    cases) stay feasible. Both sides are divided by c^2 = max(1, s, t)^2,
+    which keeps the squares finite however large the radii are; the slack
+    is FEAS_ATOL * c^2 before scaling. A radius or norm that is not finite
+    admits no step.
     """
-    x = np.asarray(x, dtype=float)
-    s = float(s)
-    t = _norm(x)
     if not (0.0 <= s < math.inf and t < math.inf):
         return False
     c = max(1.0, s, t)
     s_c, t_c, one_c = s / c, t / c, 1.0 / c
     s_sq = s_c * s_c
     return (t_c - one_c) ** 2 <= s_sq + FEAS_ATOL and s_sq <= (t_c + one_c) ** 2 + FEAS_ATOL
+
+
+def slice_feasible(x: np.ndarray, s: float) -> bool:
+    """Whether some y has ||y - x|| = 1 and ||y|| = s."""
+    return _feasible(_norm(np.asarray(x, dtype=float)), float(s))
 
 
 def _orthogonal_unit(x_hat: np.ndarray, gen: np.random.Generator) -> np.ndarray:
@@ -110,7 +106,7 @@ def slice_sample(x: np.ndarray, s: float, gen: np.random.Generator) -> np.ndarra
     x = np.asarray(x, dtype=float)
     s = float(s)
     t = _norm(x)
-    if not slice_feasible(x, s):
+    if not _feasible(t, s):
         raise InfeasibleSliceError(f"no unit step from ||x||={t:.6g} reaches radius {s}")
     if t == 0.0:
         return _orthogonal_unit(x, gen)

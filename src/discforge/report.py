@@ -38,7 +38,7 @@ def check_trials(trials: int) -> None:
 class ExperimentReport:
     name: str
     spec: dict
-    seed: dict | int | None
+    seed: dict
     metrics: list[dict] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)

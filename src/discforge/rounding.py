@@ -12,7 +12,7 @@ large. ``rounding_experiment`` measures all of this on sampled instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -260,7 +260,7 @@ def rounding_experiment(
             "c_scale": rules.scale,
             "trials": trials,
         },
-        seed={"seed": rng.seed, "stream": rng.stream},
+        seed=asdict(rng),
         metrics=metrics,
         summary=summary,
         verdicts=verdicts,

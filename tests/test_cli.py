@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import discforge
 from discforge.cli import bench_per_round, main
@@ -22,18 +23,44 @@ def test_gen_identity(tmp_path, capsys):
     assert meta["shape"] == [5, 5]
 
 
-def test_gen_with_config_file(tmp_path):
-    cfg = tmp_path / "spec.cfg"
-    cfg.write_text("m=6\nt=12\n", encoding="utf-8")
+def test_gen_random_unit_columns_from_flags(tmp_path):
     out = tmp_path / "cols.mat"
     rc = main([
-        "gen", "--kind", "random-unit-columns", "--config", str(cfg),
+        "gen", "--kind", "random-unit-columns", "--m", "6", "--t", "12",
         "--seed", "5", "--out", str(out),
     ])
     assert rc == 0
     a = read_matrix(out)
     assert a.shape == (6, 12)
     assert np.abs(np.linalg.norm(a, axis=0) - 1.0).max() <= 1e-12
+
+
+def test_gen_takes_no_config_file(tmp_path):
+    # a well-formed key=value file is still refused: gen reads flags only
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text("m=6\nt=12\n", encoding="utf-8")
+    rc = main([
+        "gen", "--kind", "random-unit-columns", "--config", str(cfg),
+        "--seed", "5", "--out", str(tmp_path / "cols.mat"),
+    ])
+    assert rc == 2
+
+
+def test_negative_seed_recorded_as_masked_handle(tmp_path):
+    # --seed -1 keys the stream RngHandle(-1), whose seed is 2^64 - 1; every
+    # report records that handle
+    mat = tmp_path / "cols.mat"
+    write_matrix(mat, np.eye(6)[:, :5])
+    assert main([
+        "walk", "--input", str(mat), "--rank", "3", "--seed", "-1", "--out", str(tmp_path / "walk"),
+    ]) == 0
+    assert main([
+        "rounding", "--setting", "spencer", "--n", "22", "--trials", "1", "--seed", "-1",
+        "--out", str(tmp_path / "rounding"),
+    ]) == 0
+    masked = {"seed": 18446744073709551615, "stream": 0}
+    assert json.loads((tmp_path / "walk" / "walk.json").read_text())["seed"] == masked
+    assert json.loads((tmp_path / "rounding" / "rounding.json").read_text())["seed"] == masked
 
 
 def test_walk_identity_stream(tmp_path):
@@ -211,6 +238,26 @@ def test_bench_smoke(capsys):
     assert payload["median_round_seconds"] > 0.0
     direct = bench_per_round(64, 16, 4, reps=3, seed=0)
     assert direct["median_round_seconds"] > 0.0
+
+
+def test_bench_per_round_needs_a_seed():
+    with pytest.raises(TypeError, match="'seed'"):
+        bench_per_round(64, 16, 4, 3)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["banaszczyk", "--m", "8", "--t", "16", "--trials", "1", "--seed", "1", "--delta", "0"],
+        ["banaszczyk", "--m", "8", "--t", "16", "--trials", "1", "--seed", "1", "--delta", "1.5"],
+        ["bench", "--m", "8", "--rank", "4", "--t", "0"],
+        ["bench", "--m", "8", "--rank", "4", "--reps", "0"],
+    ],
+    ids=["delta-0", "delta-1.5", "bench-t-0", "bench-reps-0"],
+)
+def test_bad_input_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_usage_errors(tmp_path, capsys):

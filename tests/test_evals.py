@@ -291,3 +291,14 @@ def test_monte_carlo_evaluators_take_only_rng_handles():
     ):
         with pytest.raises(TypeError, match="RngHandle"):
             estimate()
+
+
+def test_monte_carlo_evaluators_need_a_seed():
+    a = np.eye(2)
+    for estimate in (
+        lambda: discG_mc(a, np.eye(2), 10),
+        lambda: random_signing_baseline(a, 10),
+        lambda: online_discG(a, unit_rows(2, 2, 62), 10),
+    ):
+        with pytest.raises(TypeError, match="'rng'"):
+            estimate()

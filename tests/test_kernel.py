@@ -11,6 +11,7 @@ from discforge.errors import (
     InfeasibleSliceError,
     RankTooSmallError,
 )
+from discforge import kernel
 from discforge.kernel import (
     KernelParams,
     advance_chain_batch,
@@ -81,16 +82,36 @@ def test_slice_sample_rotational_symmetry():
 def test_slice_sample_infeasible():
     with pytest.raises(InfeasibleSliceError):
         slice_sample(np.array([3.0, 0.0]), 0.5, RngHandle(0).generator())
-    # ||x||^2 overflows, but ||x|| is measured rescaled: the step is a unit
-    # vector that lands on the slice
+    # ||x||^2 would overflow, but ||x|| is measured without squaring: the
+    # step is a unit vector that lands on the slice
     x = np.array([1e155, 0.0, 0.0])
-    with np.errstate(over="ignore"):
-        u = slice_sample(x, 1e155, RngHandle(0).generator())
-        assert not slice_feasible(x, 3e155)
-        assert not slice_feasible(np.array([1e300, 1e300]), 1e300)
+    u = slice_sample(x, 1e155, RngHandle(0).generator())
+    assert not slice_feasible(x, 3e155)
+    assert not slice_feasible(np.array([1e300, 1e300]), 1e300)
     assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
     assert abs(np.linalg.norm((x + u) / 1e155) - 1.0) <= 1e-12
     assert not slice_feasible(np.array([np.inf, 0.0]), 1.0)
+
+
+def test_state_norm_measured_once_per_call(monkeypatch):
+    # slice_sample measures ||x|| once and hands it to the feasibility
+    # check; a kernel_step that slides measures it once more itself
+    calls = []
+    norm = kernel._norm
+
+    def counted(x):
+        calls.append(1)
+        return norm(x)
+
+    monkeypatch.setattr(kernel, "_norm", counted)
+    gen = RngHandle(11).generator()
+    slice_sample(np.array([2.0, 0.0, 0.0]), 2.0, gen)
+    assert len(calls) == 1
+    calls.clear()
+    x = np.array([1.2, 1.6, 0.0])  # radius 2: the kernel slides
+    u = kernel_step(KernelParams(3, 1.0 / 8.0), x, gen)
+    assert abs(np.linalg.norm(x + u) - 2.0) <= 1e-12
+    assert len(calls) == 2
 
 
 def test_kernel_step_inner_branch():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,15 +100,30 @@ def test_outputs_are_unit_and_telescoping():
     assert np.abs((w0 + vs @ us) - state.w).max() < 1e-7
     run = walk_run(config, vs)
     assert np.abs(np.linalg.norm(run.us, axis=1) - 1.0).max() <= 1e-12
-    # below ||v|| = 1e-155 the plain squared norm of W^T v / ||v||^2
-    # overflows; the kernel measures it rescaled and still steps by a unit
+    # below ||v|| = 1e-155 the squared norm of W^T v / ||v||^2 would
+    # overflow; the kernel measures the norm without squaring and still
+    # steps by a unit
     tiny = (1e-155, 1e-158, 1e-160, 1e-161)
     for k, scale in enumerate(tiny):
-        with np.errstate(over="ignore"):
-            u, state = walk_step(state, scale * vs[:, k])
+        u, state = walk_step(state, scale * vs[:, k])
         assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
-    with np.errstate(over="ignore"):
-        run = walk_run(config, vs[:, : len(tiny)] * np.array(tiny))
+    run = walk_run(config, vs[:, : len(tiny)] * np.array(tiny))
+    assert np.abs(np.linalg.norm(run.us, axis=1) - 1.0).max() <= 1e-12
+
+
+def test_tiny_vectors_raise_no_warning():
+    # at these norms the projected state is beyond 1e150; measuring it must
+    # not overflow, so no RuntimeWarning reaches the caller
+    tiny = np.array([1e-155, 1e-158, 1e-161])
+    config = WalkConfig(m=16, r=11, seed=RngHandle(18))
+    vs = unit_columns(16, len(tiny), RngHandle(19)) * tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        state = walk_init(config)
+        for t in range(len(tiny)):
+            u, state = walk_step(state, vs[:, t])
+            assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+        run = walk_run(config, vs)
     assert np.abs(np.linalg.norm(run.us, axis=1) - 1.0).max() <= 1e-12
 
 
