@@ -17,7 +17,7 @@ from .evals import (
     vdisc_objective,
     vdisc_objective_units,
 )
-from .instances import InstanceSpec, gen, komlos_normalize, unit_columns
+from .instances import gen, unit_columns
 from .kernel import (
     KernelParams,
     advance_chain_batch,

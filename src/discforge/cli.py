@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import sys
 import time
@@ -32,11 +31,11 @@ from .evals import (
     vdisc_objective,
     vdisc_objective_units,
 )
-from .instances import InstanceSpec, gen as gen_instance, unit_columns
+from .instances import SHAPE_PARAMS, gen as gen_instance, unit_columns
 from .kernel import KernelParams, advance_chain_batch
 from .linalg import read_matrix, write_matrix
 from .parallel import map_trials
-from .report import SCHEMA_VERSION, ExperimentReport, check_trials, verdict
+from .report import SCHEMA_VERSION, ExperimentReport, check_trials, strict_json, verdict
 from .rng import RngHandle
 from .rounding import rounding_experiment
 from .stats import cov_test, ks_test
@@ -56,7 +55,7 @@ def _digest(*paths: str) -> str:
 
 
 def _emit(args: argparse.Namespace, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = strict_json(payload, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     print(text)
@@ -67,17 +66,19 @@ def _finish(args: argparse.Namespace, report: ExperimentReport) -> int:
     on a statistical pass, 1 otherwise."""
     if args.out:
         report.save(args.out)
-    print(json.dumps(report.to_summary_dict(), indent=2, sort_keys=True))
+    print(strict_json(report.to_summary_dict(), indent=2, sort_keys=True))
     return 0 if report.passed else 1
 
 
-def _seed_handle(args: argparse.Namespace) -> RngHandle:
-    return RngHandle(args.seed, args.stream_id)
+def _check_flag(ok: bool, flag: str, rule: str, value) -> None:
+    """Reject a command-line value with a message that names its flag."""
+    if not ok:
+        raise ValueError(f"{flag} must {rule}, got {value}")
 
 
 def cmd_walk(args: argparse.Namespace) -> int:
     vs = read_matrix(args.input)
-    config = WalkConfig(m=vs.shape[0], r=args.rank, seed=_seed_handle(args))
+    config = WalkConfig(m=vs.shape[0], r=args.rank, seed=RngHandle(args.seed))
     t0 = time.perf_counter()
     run = walk_run(config, vs)
     elapsed = time.perf_counter() - t0
@@ -85,7 +86,7 @@ def cmd_walk(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_matrix(out_dir / "stream.mat", run.us)
     lines = [
-        json.dumps(
+        strict_json(
             {
                 "round": t + 1,
                 "disc_2inf": float(run.running_max[t]),
@@ -109,16 +110,20 @@ def cmd_walk(args: argparse.Namespace) -> int:
         "timings": {"total_seconds": elapsed},
     }
     (out_dir / "walk.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        strict_json(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    print(json.dumps(summary["summary"], sort_keys=True))
+    print(strict_json(summary["summary"], sort_keys=True))
     return 0
 
 
 def cmd_stationarity(args: argparse.Namespace) -> int:
     from scipy.special import ndtr
 
-    handle = _seed_handle(args)
+    _check_flag(args.sigma > 0.0, "--sigma", "be positive", args.sigma)
+    _check_flag(args.steps >= 1, "--steps", "be at least 1", args.steps)
+    _check_flag(0.0 < args.level < 1.0, "--level", "lie in (0, 1)", args.level)
+    _check_flag(args.cov_tol > 0.0, "--cov-tol", "be positive", args.cov_tol)
+    handle = RngHandle(args.seed)
     sigma2 = args.sigma * args.sigma
     params = KernelParams(args.r, sigma2)
     gen = handle.generator()
@@ -179,13 +184,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not args.coupling or args.seed is None:
             raise DiscforgeError("discg needs --coupling and --seed")
         paths.append(args.coupling)
-        est = discG_mc(a, read_matrix(args.coupling), args.samples, _seed_handle(args))
+        est = discG_mc(a, read_matrix(args.coupling), args.samples, RngHandle(args.seed))
         value, std_error, samples, seed = est.mean, est.std_error, est.samples, asdict(est.seed)
     elif op == "online-discg":
         if not args.stream or args.seed is None:
             raise DiscforgeError("online-discg needs --stream and --seed")
         paths.append(args.stream)
-        est = online_discG(a, read_matrix(args.stream), args.samples, _seed_handle(args))
+        est = online_discG(a, read_matrix(args.stream), args.samples, RngHandle(args.seed))
         value, std_error, samples, seed = est.mean, est.std_error, est.samples, asdict(est.seed)
     else:
         raise DiscforgeError(f"unknown evaluator {op!r}")
@@ -206,7 +211,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_rounding(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    report = rounding_experiment(args.setting, args.n, args.trials, _seed_handle(args))
+    report = rounding_experiment(args.setting, args.n, args.trials, RngHandle(args.seed))
     report.timings["total_seconds"] = time.perf_counter() - t0
     return _finish(args, report)
 
@@ -226,10 +231,11 @@ def _banaszczyk_trial(
 
 def cmd_banaszczyk(args: argparse.Namespace) -> int:
     check_trials(args.trials)
-    if not 0.0 < args.delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {args.delta}")
-    rank = args.rank or banaszczyk_rank(args.m, args.t, args.delta)
-    handle = _seed_handle(args)
+    _check_flag(args.m >= 1, "--m", "be at least 1", args.m)
+    _check_flag(args.t >= 1, "--t", "be at least 1", args.t)
+    _check_flag(0.0 < args.delta < 1.0, "--delta", "lie in (0, 1)", args.delta)
+    rank = banaszczyk_rank(args.m, args.t, args.delta) if args.rank is None else args.rank
+    handle = RngHandle(args.seed)
     threshold = BANASZCZYK_FACTOR * math.sqrt(math.log(2.0 * args.m * args.t / args.delta))
     t0 = time.perf_counter()
     metrics = map_trials(
@@ -283,21 +289,15 @@ def bench_per_round(m: int, big_t: int, rank: int, reps: int, seed: int) -> dict
 
 def cmd_bench(args: argparse.Namespace) -> int:
     result = bench_per_round(args.m, args.t, args.rank, args.reps, args.seed)
-    print(json.dumps(result, sort_keys=True))
+    print(strict_json(result, sort_keys=True))
     return 0
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    params = {
-        name: getattr(args, name)
-        for name in ("m", "n", "t", "scale", "path")
-        if getattr(args, name) is not None
-    }
-    seed = _seed_handle(args) if args.seed is not None else None
-    spec = InstanceSpec(kind=args.kind, params=params, seed=seed)
-    a = gen_instance(spec)
+    rng = RngHandle(args.seed) if args.seed is not None else None
+    a = gen_instance(args.kind, rng, m=args.m, n=args.n, t=args.t, scale=args.scale)
     write_matrix(args.out, a)
-    print(json.dumps({"kind": args.kind, "shape": list(a.shape), "out": str(args.out)}))
+    print(strict_json({"kind": args.kind, "shape": list(a.shape), "out": str(args.out)}))
     return 0
 
 
@@ -312,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="matrix file; columns are the incoming vectors")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--stream-id", type=int, default=0, dest="stream_id")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_walk)
 
@@ -322,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=5000)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--stream-id", type=int, default=0, dest="stream_id")
     p.add_argument("--level", type=float, default=0.01)
     p.add_argument("--cov-tol", type=float, default=0.05, dest="cov_tol")
     p.add_argument("--out", default=None, help="directory for the report files")
@@ -337,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", default=None, help="unit-vector stream file")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--stream-id", type=int, default=0, dest="stream_id")
     p.add_argument("--out", default=None, help="write the JSON result here")
     p.set_defaults(func=cmd_eval)
 
@@ -346,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--stream-id", type=int, default=0, dest="stream_id")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_rounding)
 
@@ -358,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--samples", type=int, default=20_000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--stream-id", type=int, default=0, dest="stream_id")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_banaszczyk)
 
@@ -371,15 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen", help="generate an instance matrix file")
-    p.add_argument("--kind", required=True)
+    p.add_argument("--kind", choices=list(SHAPE_PARAMS), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--stream-id", type=int, default=0, dest="stream_id")
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--t", type=int, default=None)
-    p.add_argument("--scale", type=float, default=None)
-    p.add_argument("--path", default=None)
+    p.add_argument("--scale", type=float, default=1.0, help="gaussian-dense entry scale")
     p.set_defaults(func=cmd_gen)
 
     return parser

@@ -22,7 +22,7 @@ from .errors import (
     NotUnitError,
     TooLargeError,
 )
-from .linalg import psd_cholesky
+from .linalg import check_matrix, psd_cholesky
 from .parallel import map_trials
 from .rng import RngHandle
 
@@ -76,9 +76,7 @@ def check_spherical(x: np.ndarray) -> np.ndarray:
 
 
 def _check_unit_rows(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2:
-        raise DimMismatchError(f"expected unit rows in a 2-d array, got shape {u.shape}")
+    u = check_matrix(u)
     if u.shape[0] and float(np.abs(np.linalg.norm(u, axis=1) - 1.0).max()) > UNIT_ATOL:
         raise NotUnitError("rows must be unit vectors")
     return u
@@ -116,7 +114,7 @@ def disc_bruteforce(a: np.ndarray) -> tuple[float, np.ndarray]:
     """Exact discrepancy min over signings of ||A sigma||_inf, with an
     argmin, by enumerating the 2^(n-1) signings that fix sigma_1 = +1
     (negating a signing never changes the objective)."""
-    a = np.asarray(a, dtype=float)
+    a = check_matrix(a)
     m, n = a.shape
     if n > BRUTE_FORCE_MAX_N:
         raise TooLargeError(f"n={n} exceeds the enumeration budget ({BRUTE_FORCE_MAX_N})")
@@ -143,9 +141,9 @@ def disc_bruteforce(a: np.ndarray) -> tuple[float, np.ndarray]:
 def vdisc_objective(a: np.ndarray, sigma: np.ndarray) -> float:
     """sqrt(max_i <A_i, Sigma A_i>): the largest row norm of the balanced
     sum under the coupling with Gram matrix Sigma."""
-    a = np.asarray(a, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    if a.ndim != 2 or sigma.shape != (a.shape[1], a.shape[1]):
+    a = check_matrix(a)
+    sigma = check_matrix(sigma)
+    if sigma.shape != (a.shape[1], a.shape[1]):
         raise DimMismatchError(
             f"matrix {a.shape} incompatible with coupling {sigma.shape}"
         )
@@ -156,9 +154,9 @@ def vdisc_objective(a: np.ndarray, sigma: np.ndarray) -> float:
 def vdisc_objective_units(a: np.ndarray, u: np.ndarray) -> float:
     """max_i ||sum_j A_ij u_j||_2 for unit rows u_j; agrees with
     vdisc_objective(a, u @ u.T) to working precision."""
-    a = np.asarray(a, dtype=float)
+    a = check_matrix(a)
     u = _check_unit_rows(u)
-    if a.ndim != 2 or a.shape[1] != u.shape[0]:
+    if a.shape[1] != u.shape[0]:
         raise DimMismatchError(f"matrix {a.shape} incompatible with rows {u.shape}")
     sums = a @ u
     return float(np.linalg.norm(sums, axis=1).max(initial=0.0))
@@ -166,9 +164,9 @@ def vdisc_objective_units(a: np.ndarray, u: np.ndarray) -> float:
 
 def discs_objective(a: np.ndarray, x: np.ndarray) -> float:
     """||A x||_inf for a point of the radius-sqrt(n) sphere."""
-    a = np.asarray(a, dtype=float)
+    a = check_matrix(a)
     x = check_spherical(x)
-    if a.ndim != 2 or a.shape[1] != x.shape[0]:
+    if a.shape[1] != x.shape[0]:
         raise DimMismatchError(f"matrix {a.shape} incompatible with point {x.shape}")
     return float(np.abs(a @ x).max(initial=0.0))
 
@@ -181,10 +179,10 @@ def discG_mc(
 ) -> McEstimate:
     """Monte Carlo estimate of E ||A g||_inf for g ~ N(0, Sigma)."""
     _check_sampling(samples, rng)
-    a = np.asarray(a, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    n = a.shape[1] if a.ndim == 2 else -1
-    if a.ndim != 2 or sigma.shape != (n, n):
+    a = check_matrix(a)
+    sigma = check_matrix(sigma)
+    n = a.shape[1]
+    if sigma.shape != (n, n):
         raise DimMismatchError(
             f"matrix {a.shape} incompatible with coupling {sigma.shape}"
         )
@@ -210,9 +208,9 @@ def online_discG(
     per-prefix means are comparable and their maximum is stable.
     """
     _check_sampling(samples, rng)
-    vs = np.asarray(vs, dtype=float)
-    us = np.asarray(us, dtype=float)
-    if vs.ndim != 2 or us.ndim != 2 or vs.shape[1] != us.shape[0]:
+    vs = check_matrix(vs)
+    us = check_matrix(us)
+    if vs.shape[1] != us.shape[0]:
         raise DimMismatchError(
             f"columns {vs.shape} incompatible with stream rows {us.shape}"
         )
@@ -314,9 +312,7 @@ def triangle_rank2(
 def random_signing_baseline(a: np.ndarray, trials: int, rng: RngHandle) -> McEstimate:
     """Monte Carlo mean of ||A sigma||_inf over uniform random signings."""
     _check_sampling(trials, rng)
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise DimMismatchError(f"expected a matrix, got shape {a.shape}")
+    a = check_matrix(a)
     n = a.shape[1]
 
     def block(gen: np.random.Generator, size: int) -> np.ndarray:

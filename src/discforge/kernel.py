@@ -132,7 +132,11 @@ def _reflection_weight(params: KernelParams, t: float) -> float:
 
 
 def kernel_step(params: KernelParams, x: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Unit increment u of one kernel transition; the next state is x + u."""
+    """Unit increment u of one kernel transition; the next state is x + u.
+
+    A state with a nan or inf entry has a nan or inf norm, which only the
+    slide branch can see; it raises ValueError there.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (params.r,):
         raise DimMismatchError(f"state has shape {x.shape}, expected ({params.r},)")
@@ -141,6 +145,8 @@ def kernel_step(params: KernelParams, x: np.ndarray, gen: np.random.Generator) -
         return slice_sample(x, 1.0, gen)
     if t < 0.5 or (t < 1.0 and gen.random() < _reflection_weight(params, t)):
         return x / -t
+    if not math.isfinite(t):
+        raise ValueError(f"state has non-finite norm {t}")
     return slice_sample(x, t, gen)
 
 
@@ -166,13 +172,15 @@ def kernel_step_batch(
     Distributionally identical to mapping kernel_step over the rows, but
     vectorized; used by the large stationarity experiments. The rare rows
     (at the origin, or whose slide draw is parallel to x) go through the
-    scalar slice code.
+    scalar slice code. A row whose norm is not finite raises ValueError.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != params.r:
         raise DimMismatchError(f"batch has shape {xs.shape}, expected (N, {params.r})")
     n = xs.shape[0]
     t = np.linalg.norm(xs, axis=1)
+    if not np.isfinite(t).all():
+        raise ValueError("batch has a row with a non-finite norm")
 
     # reflection weight per row: 1 below radius 1/2, 0 at or above 1
     mid = (t >= 0.5) & (t < 1.0)

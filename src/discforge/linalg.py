@@ -46,13 +46,13 @@ def check_matrix(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def check_symmetric(s: np.ndarray, rtol: float = SYM_RTOL) -> np.ndarray:
+def check_symmetric(s: np.ndarray) -> np.ndarray:
     s = check_matrix(s)
     n, m = s.shape
     if n != m:
         raise DimMismatchError(f"expected a square matrix, got {n}x{m}")
     scale = max(float(np.abs(s).max(initial=0.0)), 1.0)
-    if float(np.abs(s - s.T).max(initial=0.0)) > rtol * scale:
+    if float(np.abs(s - s.T).max(initial=0.0)) > SYM_RTOL * scale:
         raise NotPsdError("matrix is not symmetric")
     return s
 
@@ -147,7 +147,8 @@ def write_matrix(path: str | Path, a: np.ndarray) -> None:
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
-    """Read the shared text format written by write_matrix.
+    """Read the shared text format written by write_matrix, through
+    check_matrix, so a nan or inf entry is rejected.
 
     Blank lines are skipped, so an m x 0 matrix (m empty rows) reads back
     from its header alone.
@@ -172,4 +173,7 @@ def read_matrix(path: str | Path) -> np.ndarray:
         raise ValueError(f"{path}: expected {m} rows, found {a.shape[0]}")
     if a.shape[1] != n:
         raise ValueError(f"{path}: rows have {a.shape[1]} entries, expected {n}")
-    return a
+    try:
+        return check_matrix(a)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -16,9 +16,15 @@ from pathlib import Path
 
 SCHEMA_VERSION = 1
 
-__all__ = ["ExperimentReport", "SCHEMA_VERSION", "check_trials", "verdict"]
+__all__ = ["ExperimentReport", "SCHEMA_VERSION", "check_trials", "strict_json", "verdict"]
 
 _OPS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
+
+
+def strict_json(obj, **layout) -> str:
+    """json.dumps with the given layout that refuses nan and inf, which
+    have no JSON form (ValueError)."""
+    return json.dumps(obj, allow_nan=False, **layout)
 
 
 def verdict(value, threshold, op: str) -> dict:
@@ -60,18 +66,16 @@ class ExperimentReport:
             "timings": self.timings,
         }
 
-    def save(self, out_dir: str | Path, stem: str | None = None) -> Path:
-        """Write {stem}.json and {stem}.metrics.jsonl under out_dir."""
+    def save(self, out_dir: str | Path) -> Path:
+        """Write {name}.json and {name}.metrics.jsonl under out_dir, as
+        strict JSON."""
+        summary = strict_json(self.to_summary_dict(), indent=2, sort_keys=True)
+        lines = [strict_json(m, sort_keys=True) for m in self.metrics]
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        stem = stem or self.name
-        summary_path = out_dir / f"{stem}.json"
-        summary_path.write_text(
-            json.dumps(self.to_summary_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        lines = [json.dumps(m, sort_keys=True) for m in self.metrics]
-        (out_dir / f"{stem}.metrics.jsonl").write_text(
+        summary_path = out_dir / f"{self.name}.json"
+        summary_path.write_text(summary + "\n", encoding="utf-8")
+        (out_dir / f"{self.name}.metrics.jsonl").write_text(
             "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8"
         )
         return summary_path

@@ -35,6 +35,23 @@ def test_gen_random_unit_columns_from_flags(tmp_path):
     assert np.abs(np.linalg.norm(a, axis=0) - 1.0).max() <= 1e-12
 
 
+def test_gen_kinds_flags_and_seed(tmp_path, capsys):
+    out = str(tmp_path / "a.mat")
+    # gaussian-dense with one row is the number-balancing instance
+    assert main(["gen", "--kind", "gaussian-dense", "--m", "1", "--n", "300",
+                 "--seed", "82", "--out", out]) == 0
+    assert np.array_equal(read_matrix(out), RngHandle(82).generator().standard_normal((1, 300)))
+    for argv, problem in (
+        (["--kind", "nonsense", "--t", "3"], "invalid choice"),
+        (["--kind", "identity"], "needs parameters ['t']"),
+        (["--kind", "planted", "--m", "6"], "needs parameters ['n']"),
+        (["--kind", "gaussian-dense", "--m", "2", "--n", "2"], "needs a seed"),
+    ):
+        capsys.readouterr()
+        assert main(["gen", *argv, "--out", out]) == 2
+        assert problem in capsys.readouterr().err
+
+
 def test_gen_takes_no_config_file(tmp_path):
     # a well-formed key=value file is still refused: gen reads flags only
     cfg = tmp_path / "spec.cfg"
@@ -102,6 +119,34 @@ def test_walk_rejects_non_finite_input(tmp_path, capsys):
     ])
     assert rc == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("op", ["disc", "vdisc", "discg"])
+def test_eval_rejects_non_finite_input(tmp_path, capsys, op):
+    mat = tmp_path / "a.mat"
+    mat.write_text("2 2\n1 nan\n0 1\n", encoding="utf-8")
+    good = tmp_path / "s.mat"
+    write_matrix(good, np.eye(2))
+    extra = {"disc": [], "vdisc": ["--coupling", str(good)],
+             "discg": ["--coupling", str(good), "--samples", "10", "--seed", "1"]}[op]
+    assert main(["eval", op, "--input", str(mat), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {mat}: ")
+
+
+def test_cli_json_is_strict(tmp_path, capsys):
+    # the row sum overflows to inf, which has no JSON form
+    mat = tmp_path / "a.mat"
+    mat.write_text("1 2\n1e308 1e308\n", encoding="utf-8")
+    units = tmp_path / "u.mat"
+    write_matrix(units, np.ones((2, 1)))
+    with np.errstate(over="ignore"):
+        rc = main(["eval", "vdisc", "--input", str(mat), "--units", str(units)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "JSON" in captured.err
 
 
 def test_eval_disc(tmp_path, capsys):
@@ -245,19 +290,38 @@ def test_bench_per_round_needs_a_seed():
         bench_per_round(64, 16, 4, 3)
 
 
+STATIONARITY = ["stationarity", "--r", "2", "--sigma", "0.5", "--runs", "100", "--seed", "1"]
+BANASZCZYK = ["banaszczyk", "--trials", "1", "--seed", "1"]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, named",
     [
-        ["banaszczyk", "--m", "8", "--t", "16", "--trials", "1", "--seed", "1", "--delta", "0"],
-        ["banaszczyk", "--m", "8", "--t", "16", "--trials", "1", "--seed", "1", "--delta", "1.5"],
-        ["bench", "--m", "8", "--rank", "4", "--t", "0"],
-        ["bench", "--m", "8", "--rank", "4", "--reps", "0"],
+        ([*BANASZCZYK, "--m", "8", "--t", "16", "--delta", "0"], "--delta"),
+        ([*BANASZCZYK, "--m", "8", "--t", "16", "--delta", "1.5"], "--delta"),
+        (["bench", "--m", "8", "--rank", "4", "--t", "0"], "t=0"),
+        (["bench", "--m", "8", "--rank", "4", "--reps", "0"], "reps=0"),
+        ([*STATIONARITY, "--sigma", "-0.5"], "--sigma"),
+        ([*STATIONARITY, "--steps", "-3"], "--steps"),
+        ([*STATIONARITY, "--steps", "0"], "--steps"),
+        ([*STATIONARITY, "--level", "1.5"], "--level"),
+        ([*STATIONARITY, "--level", "0"], "--level"),
+        ([*STATIONARITY, "--cov-tol", "0"], "--cov-tol"),
+        ([*BANASZCZYK, "--m", "0", "--t", "16"], "--m"),
+        ([*BANASZCZYK, "--m", "8", "--t", "0"], "--t"),
+        ([*BANASZCZYK, "--m", "8", "--t", "16", "--rank", "0"], "r=0"),
     ],
-    ids=["delta-0", "delta-1.5", "bench-t-0", "bench-reps-0"],
+    ids=[
+        "delta-0", "delta-1.5", "bench-t-0", "bench-reps-0", "sigma-negative",
+        "steps-negative", "steps-0", "level-1.5", "level-0", "cov-tol-0",
+        "banaszczyk-m-0", "banaszczyk-t-0", "banaszczyk-rank-0",
+    ],
 )
-def test_bad_input_exits_2(argv, capsys):
+def test_bad_input_exits_2(argv, named, capsys):
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert named in err
 
 
 def test_usage_errors(tmp_path, capsys):

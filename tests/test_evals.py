@@ -170,6 +170,25 @@ def test_online_discg_zero_and_empty():
         online_discG(np.zeros((3, 4)), unit_rows(5, 2, 42), 100, RngHandle(0))
 
 
+def test_evaluators_take_matrices_through_check_matrix():
+    with pytest.raises(DimMismatchError):
+        disc_bruteforce(np.ones(3))
+    bad = np.array([[1.0, np.nan], [0.0, 1.0]])
+    calls = [
+        lambda: disc_bruteforce(bad),
+        lambda: vdisc_objective(bad, np.eye(2)),
+        lambda: vdisc_objective(np.eye(2), bad),
+        lambda: vdisc_objective_units(np.eye(2), bad),
+        lambda: discs_objective(bad, np.ones(2)),
+        lambda: discG_mc(bad, np.eye(2), 10, RngHandle(0)),
+        lambda: online_discG(bad, np.eye(2), 10, RngHandle(0)),
+        lambda: random_signing_baseline(bad, 10, RngHandle(0)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
+
+
 def test_online_discg_is_monotone_max_over_prefixes():
     # a prefix of the stream can never have a larger estimate
     m, big_t = 4, 12

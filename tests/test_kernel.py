@@ -227,6 +227,22 @@ def test_advance_chain_batch_shape():
     assert len(from_origin) == 4
 
 
+@pytest.mark.parametrize(
+    "x", [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [np.inf, np.nan, 0.0], [0.1, np.nan, 0.2]]
+)
+def test_kernel_step_rejects_non_finite_state(x):
+    with pytest.raises(ValueError, match="non-finite"):
+        kernel_step(KernelParams(3, 1.0 / 8.0), np.array(x), RngHandle(12).generator())
+
+
+def test_kernel_step_batch_rejects_non_finite_rows():
+    xs = np.array([[0.3, 0.0], [1.5, 2.0], [np.nan, 0.0], [0.0, np.inf]])
+    params = KernelParams(2, 0.25)
+    for rows in (xs[[0, 1, 2]], xs[[0, 1, 3]]):
+        with pytest.raises(ValueError, match="non-finite"):
+            kernel_step_batch(params, rows, RngHandle(13).generator())
+
+
 def test_bad_variance_rejected_at_step():
     # construct params bypassing validation to hit the runtime guard
     params = KernelParams.__new__(KernelParams)

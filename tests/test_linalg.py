@@ -140,6 +140,9 @@ def test_matrix_file_errors(tmp_path):
         ("2 2\n1 2\n3\n", "number of columns changed"),
         ("2 2\n1 x\n3 4\n", "could not convert"),
         ("2 0\n1 2\n", "expected 2 rows, found 1"),
+        ("2 2\n1 nan\n3 4\n", "non-finite"),
+        ("2 2\n1 2\ninf 4\n", "non-finite"),
+        ("1 2\n-inf 1\n", "non-finite"),
     ):
         bad.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=problem) as err:

@@ -17,7 +17,7 @@ def make_report():
 
 def test_round_trip_is_lossless(tmp_path):
     report = make_report()
-    report.save(tmp_path, "demo")
+    report.save(tmp_path)
     loaded = ExperimentReport.load(tmp_path, "demo")
     assert loaded.reproducible_view() == report.reproducible_view()
     assert loaded.metrics == report.metrics
