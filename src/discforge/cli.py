@@ -38,7 +38,7 @@ from .parallel import map_trials
 from .report import SCHEMA_VERSION, ExperimentReport, check_trials, strict_json, verdict
 from .rng import RngHandle
 from .rounding import rounding_experiment
-from .stats import cov_test, ks_test
+from .stats import COV_MIN_SAMPLES, cov_test, ks_test
 from .walk import WalkConfig, banaszczyk_rank, walk_run
 
 # Frozen acceptance factor for the online Gaussian-discrepancy run: the
@@ -120,6 +120,9 @@ def cmd_stationarity(args: argparse.Namespace) -> int:
     from scipy.special import ndtr
 
     _check_flag(args.sigma > 0.0, "--sigma", "be positive", args.sigma)
+    _check_flag(
+        args.runs >= COV_MIN_SAMPLES, "--runs", f"be at least {COV_MIN_SAMPLES}", args.runs
+    )
     _check_flag(args.steps >= 1, "--steps", "be at least 1", args.steps)
     _check_flag(0.0 < args.level < 1.0, "--level", "lie in (0, 1)", args.level)
     _check_flag(args.cov_tol > 0.0, "--cov-tol", "be positive", args.cov_tol)

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadSizeError
 from .evals import discG_mc, random_signing_baseline
@@ -130,16 +131,17 @@ def half_ones(n: int) -> np.ndarray:
 
 
 def shift_orbit_index(sigma: np.ndarray, w: np.ndarray) -> int | None:
-    """Exponent k with sigma equal to the k-fold left shift of w, or None."""
+    """Least exponent k with sigma equal to the k-fold left shift of the
+    vector w, or None (also when the shapes differ)."""
     sigma = np.asarray(sigma)
     w = np.asarray(w)
-    n = w.shape[0]
     if sigma.shape != w.shape:
         return None
-    for k in range(n):
-        if np.array_equal(sigma, np.roll(w, -k)):
-            return k
-    return None
+    n = w.shape[0]
+    # row k of the windows is w[k:] followed by w[:k], the k-fold left shift
+    shifts = sliding_window_view(np.concatenate([w, w]), n)[:n]
+    hits = np.flatnonzero((shifts == sigma).all(axis=1))
+    return int(hits[0]) if hits.size else None
 
 
 def spencer_rows(n: int) -> int:

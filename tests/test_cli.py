@@ -307,6 +307,8 @@ BANASZCZYK = ["banaszczyk", "--trials", "1", "--seed", "1"]
         ([*STATIONARITY, "--level", "1.5"], "--level"),
         ([*STATIONARITY, "--level", "0"], "--level"),
         ([*STATIONARITY, "--cov-tol", "0"], "--cov-tol"),
+        ([*STATIONARITY, "--runs", "5"], "--runs"),
+        ([*STATIONARITY, "--runs", "50"], "--runs"),
         ([*BANASZCZYK, "--m", "0", "--t", "16"], "--m"),
         ([*BANASZCZYK, "--m", "8", "--t", "0"], "--t"),
         ([*BANASZCZYK, "--m", "8", "--t", "16", "--rank", "0"], "r=0"),
@@ -314,6 +316,7 @@ BANASZCZYK = ["banaszczyk", "--trials", "1", "--seed", "1"]
     ids=[
         "delta-0", "delta-1.5", "bench-t-0", "bench-reps-0", "sigma-negative",
         "steps-negative", "steps-0", "level-1.5", "level-0", "cov-tol-0",
+        "runs-5", "runs-50",
         "banaszczyk-m-0", "banaszczyk-t-0", "banaszczyk-rank-0",
     ],
 )

@@ -22,6 +22,7 @@ from discforge.evals import (
     vdisc_objective_units,
 )
 from discforge.instances import unit_columns
+from discforge.linalg import psd_cholesky
 from discforge.rng import RngHandle
 from discforge.rounding import make_planted
 
@@ -144,6 +145,39 @@ def test_discg_rank_one_coupling_identity():
     est = discG_mc(a, coupling_from_signing(sigma), 50_000, RngHandle(35))
     target = ROOT_2_OVER_PI * np.abs(a @ sigma).max()
     assert abs(est.mean - target) <= 3.0 * est.std_error
+
+
+def test_discg_rank_one_draws_one_normal_per_sample():
+    # a signing coupling has rank 1: sample i is ||A sigma||_inf |xi_i| with
+    # xi the first `samples` normals of block 0's substream
+    gen = RngHandle(70).generator()
+    a = gen.standard_normal((4, 9))
+    sigma = 1.0 - 2.0 * gen.integers(0, 2, size=9)
+    samples = 3000
+    est = discG_mc(a, coupling_from_signing(sigma), samples, RngHandle(71))
+    xi = RngHandle(71).substream(0).generator().standard_normal(samples)
+    target = np.mean(np.abs(a @ sigma).max() * np.abs(xi))
+    assert est.mean == pytest.approx(target, rel=1e-12, abs=0.0)
+
+
+def test_discg_zero_coupling_is_exactly_zero():
+    a = RngHandle(72).generator().standard_normal((3, 5))
+    est = discG_mc(a, np.zeros((5, 5)), 500, RngHandle(73))
+    assert est.mean == 0.0 and est.std_error == 0.0
+
+
+def test_discg_planted_coupling_matches_dense_factor():
+    # the planted coupling's two pivots are its leading columns, so the
+    # rank-2 sampler uses the first 2 x samples normals that the dense
+    # n x n factor would have multiplied
+    n, samples = 102, 1500
+    inst = make_planted(12, n, RngHandle(74).generator())
+    low = psd_cholesky(inst.sigma)
+    for a in (inst.a, RngHandle(75).generator().standard_normal((12, n))):
+        est = discG_mc(a, inst.sigma, samples, RngHandle(76))
+        xi = RngHandle(76).substream(0).generator().standard_normal((n, samples))
+        dense = np.abs(a @ (low @ xi)).max(axis=0).mean()
+        assert abs(est.mean - dense) <= 1e-12
 
 
 def test_discg_block_layout_is_deterministic():
@@ -277,6 +311,16 @@ def test_random_signing_baseline():
     assert est.mean == 0.0
     est = random_signing_baseline(np.eye(5), 500, RngHandle(53))
     assert est.mean == 1.0 and est.std_error == 0.0
+
+
+def test_random_signing_baseline_pins_block_zero_draw():
+    n, samples = 7, 900
+    a = RngHandle(77).generator().standard_normal((3, n))
+    est = random_signing_baseline(a, samples, RngHandle(78))
+    ints = RngHandle(78).substream(0).generator().integers(0, 2, size=(n, samples))
+    vals = np.abs(a @ (1.0 - 2.0 * ints)).max(axis=0)
+    assert est.mean == vals.mean()
+    assert est.std_error == vals.std(ddof=1) / math.sqrt(samples)
 
 
 def test_random_signing_baseline_planted_scale():

@@ -88,11 +88,34 @@ def test_shift_examples():
     assert np.array_equal(out, v)
 
 
+def _orbit_index_by_roll(sigma, w):
+    """Reference: try the left shifts of w in turn."""
+    if np.shape(sigma) != np.shape(w):
+        return None
+    for k in range(len(w)):
+        if np.array_equal(sigma, np.roll(w, -k)):
+            return k
+    return None
+
+
 def test_shift_orbit_index():
     w = half_ones(6)
     assert shift_orbit_index(w, w) == 0
     assert shift_orbit_index(shift(shift(w)), w) == 2
     assert shift_orbit_index(np.ones(6), w) is None
+    alt = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    w10 = half_ones(10)
+    off_orbit = w10.copy()
+    off_orbit[3] = -1.0
+    cases = [(alt, alt), (-alt, alt), (np.ones(6), alt), (alt, w)]
+    cases += [(np.roll(w10, -k), w10) for k in range(10)]
+    cases += [(off_orbit, w10), (-np.ones(10), w10), (w10[:8], w10), (w10, w10[:8]),
+              (w10.reshape(2, 5), w10)]
+    for sigma, ref in cases:
+        assert shift_orbit_index(sigma, ref) == _orbit_index_by_roll(sigma, ref)
+    # the first hit is returned when w has several
+    assert shift_orbit_index(alt, alt) == 0 and shift_orbit_index(-alt, alt) == 1
+    assert [shift_orbit_index(np.roll(w10, -k), w10) for k in range(10)] == list(range(10))
 
 
 def test_planted_rounding_lands_in_shift_orbit():
