@@ -324,7 +324,7 @@ def random_signing_baseline(a: np.ndarray, trials: int, rng: RngHandle) -> McEst
     n = a.shape[1]
 
     def block(gen: np.random.Generator, size: int) -> np.ndarray:
-        signs = gen.integers(0, 2, size=(n, size)).astype(float)
+        signs = gen.integers(0, 2, size=(n, size), dtype=bool).astype(float)
         signs *= -2.0
         signs += 1.0
         return np.abs(a @ signs).max(axis=0, initial=0.0)

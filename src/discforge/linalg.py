@@ -51,8 +51,10 @@ def check_symmetric(s: np.ndarray) -> np.ndarray:
     n, m = s.shape
     if n != m:
         raise DimMismatchError(f"expected a square matrix, got {n}x{m}")
-    scale = max(float(np.abs(s).max(initial=0.0)), 1.0)
-    if float(np.abs(s - s.T).max(initial=0.0)) > SYM_RTOL * scale:
+    scale = max(float(s.max(initial=0.0)), -float(s.min(initial=0.0)), 1.0)
+    gap = s - s.T
+    np.abs(gap, out=gap)
+    if float(gap.max(initial=0.0)) > SYM_RTOL * scale:
         raise NotPsdError("matrix is not symmetric")
     return s
 
@@ -83,13 +85,29 @@ def psd_cholesky(s: np.ndarray) -> np.ndarray:
     columns are identically zero, which makes the factor unique. Pivots
     are judged relative to trace(s)/n; a pivot below -PIVOT_RTOL times
     that scale raises NotPsdError.
+
+    Runs of zero-pivot columns are skipped: a downdated residual diagonal
+    points to the next column whose residual is more than half the pivot
+    tolerance from zero, so a rank-k input takes k pivot steps. A visited
+    column's pivot is computed exactly as in a column-by-column loop, and
+    a skipped column's pivot differs from its residual only by rounding,
+    far inside the other half of the tolerance, so it would have stayed
+    zero there too: the unique factor is unchanged.
     """
     s = check_symmetric(s)
     n = s.shape[0]
     scale = max(float(np.trace(s)) / max(n, 1), 1e-30)
     tol = PIVOT_RTOL * scale
+    skip = 0.5 * tol
     l = np.zeros_like(s)
-    for j in range(n):
+    resid = np.diag(s).copy()
+    j = 0
+    while j < n:
+        if -skip <= resid[j] <= skip:
+            live = np.flatnonzero(np.abs(resid[j + 1 :]) > skip)
+            if live.size == 0:
+                break
+            j += 1 + int(live[0])
         d = s[j, j] - l[j, :j] @ l[j, :j]
         if d < -tol:
             raise NotPsdError(f"negative pivot {d:.3e} at column {j}")
@@ -97,7 +115,9 @@ def psd_cholesky(s: np.ndarray) -> np.ndarray:
             l[j, j] = math.sqrt(d)
             if j + 1 < n:
                 l[j + 1 :, j] = (s[j + 1 :, j] - l[j + 1 :, :j] @ l[j, :j]) / l[j, j]
+                resid[j + 1 :] -= l[j + 1 :, j] ** 2
         # pivot within tolerance of zero: the column stays zero
+        j += 1
     return l
 
 
@@ -119,7 +139,7 @@ def top_eigvec(
     top of the spectrum.
     """
     s = check_symmetric(s)
-    if float(np.abs(s).max(initial=0.0)) == 0.0:
+    if not s.any():
         raise ValueError("top_eigvec needs a nonzero matrix")
     v = np.asarray(init, dtype=float).copy()
     nv = np.linalg.norm(v)

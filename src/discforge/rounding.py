@@ -91,7 +91,8 @@ def make_planted(m: int, n: int, gen: np.random.Generator) -> PlantedInstance:
     c, s = _trig_vectors(n)
     g = gen.standard_normal((m, n))
     a = g - (2.0 / n) * np.outer(g @ c, c) - (2.0 / n) * np.outer(g @ s, s)
-    sigma = np.outer(c, c) + np.outer(s, s)
+    sigma = np.outer(c, c)
+    sigma += np.outer(s, s)
     return PlantedInstance(m=m, n=n, a=a, c=c, s=s, sigma=sigma)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -317,10 +318,21 @@ def test_random_signing_baseline_pins_block_zero_draw():
     n, samples = 7, 900
     a = RngHandle(77).generator().standard_normal((3, n))
     est = random_signing_baseline(a, samples, RngHandle(78))
-    ints = RngHandle(78).substream(0).generator().integers(0, 2, size=(n, samples))
-    vals = np.abs(a @ (1.0 - 2.0 * ints)).max(axis=0)
+    bits = RngHandle(78).substream(0).generator().integers(0, 2, size=(n, samples), dtype=bool)
+    vals = np.abs(a @ (1.0 - 2.0 * bits)).max(axis=0)
     assert est.mean == vals.mean()
     assert est.std_error == vals.std(ddof=1) / math.sqrt(samples)
+
+
+def test_random_signing_baseline_matches_enumerated_mean():
+    # the law, independent of how the draw is made: the exact mean over
+    # all 2^8 signings lies within 4 standard errors of the estimate
+    a = RngHandle(79).generator().standard_normal((3, 8))
+    signings = np.array(list(itertools.product((-1.0, 1.0), repeat=8))).T
+    exact = np.abs(a @ signings).max(axis=0).mean()
+    est = random_signing_baseline(a, 20_000, RngHandle(80))
+    assert est.samples == 20_000
+    assert abs(est.mean - exact) <= 4.0 * est.std_error
 
 
 def test_random_signing_baseline_planted_scale():

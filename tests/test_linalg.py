@@ -5,8 +5,11 @@ import pytest
 
 from discforge.errors import NoConvergenceError, NotPsdError
 from discforge.linalg import (
+    PIVOT_RTOL,
+    SYM_RTOL,
     check_correlation,
     check_psd,
+    check_symmetric,
     cholesky_rank,
     psd_cholesky,
     read_matrix,
@@ -65,6 +68,83 @@ def test_cholesky_rejects_indefinite():
 
 def test_cholesky_zero_matrix():
     assert np.array_equal(psd_cholesky(np.zeros((3, 3))), np.zeros((3, 3)))
+
+
+def reference_psd_cholesky(s):
+    # column by column, every pivot computed: the loop psd_cholesky's
+    # skipping of zero-pivot runs must reproduce bit for bit
+    s = check_symmetric(s)
+    n = s.shape[0]
+    scale = max(float(np.trace(s)) / max(n, 1), 1e-30)
+    tol = PIVOT_RTOL * scale
+    l = np.zeros_like(s)
+    for j in range(n):
+        d = s[j, j] - l[j, :j] @ l[j, :j]
+        if d < -tol:
+            raise NotPsdError(f"negative pivot {d:.3e} at column {j}")
+        if d > tol:
+            l[j, j] = math.sqrt(d)
+            if j + 1 < n:
+                l[j + 1 :, j] = (s[j + 1 :, j] - l[j + 1 :, :j] @ l[j, :j]) / l[j, j]
+    return l
+
+
+def cholesky_case(gen, kind):
+    n = int(gen.integers(2, 81))
+    u = gen.standard_normal((n, int(gen.integers(1, n + 1))))
+    if kind == "unit-rows":
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+    elif kind == "repeated-rows":
+        rows = gen.choice(n, size=min(n, 4), replace=False)
+        u[rows[1:]] = u[rows[0]]
+        if len(rows) > 2:
+            u[rows[2]] *= -1.0
+        if len(rows) > 3:
+            u[rows[3]] = 0.0
+    s = u @ u.T
+    if kind == "indefinite":
+        v = gen.standard_normal(n)
+        s -= gen.uniform(0.01, 0.5) * np.outer(v, v)
+    elif kind == "nudged-diagonal":
+        # pivots just inside and just outside the zero tolerance
+        tol = PIVOT_RTOL * np.trace(s) / n
+        s[np.diag_indices(n)] += gen.choice([-1.5, -0.7, -0.3, 0.3, 0.7, 1.5]) * tol
+    return 0.5 * (s + s.T)
+
+
+def test_cholesky_matches_column_by_column_reference():
+    gen = RngHandle(103).generator()
+    kinds = ["gram", "unit-rows", "repeated-rows", "indefinite", "nudged-diagonal"]
+    raised = deficient = 0
+    for i in range(320):
+        s = cholesky_case(gen, kinds[i % len(kinds)])
+        try:
+            want = reference_psd_cholesky(s)
+        except NotPsdError as exc:
+            raised += 1
+            with pytest.raises(NotPsdError) as got:
+                psd_cholesky(s)
+            assert str(got.value) == str(exc)
+            continue
+        got = psd_cholesky(s)
+        assert np.array_equal(got, want)
+        deficient += cholesky_rank(got) < s.shape[0]
+    assert raised >= 40 and deficient >= 150
+
+
+def test_check_symmetric_tolerance_boundary_leaves_input_unchanged():
+    base = np.array([[-4.0, -1.0, 2.0], [-1.0, 3.0, -2.0], [2.0, -2.0, -1.0]])
+    scale = 4.0
+    for factor, accepted in [(0.5, True), (2.0, False)]:
+        s = base.copy()
+        s[0, 1] += factor * SYM_RTOL * scale
+        before = s.copy()
+        if accepted:
+            assert check_symmetric(s) is s
+        else:
+            with pytest.raises(NotPsdError, match="not symmetric"):
+                check_symmetric(s)
+        assert np.array_equal(s, before)
 
 
 def test_top_eigvec_diagonal():
