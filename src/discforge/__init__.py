@@ -47,7 +47,7 @@ from .rounding import (
     shift,
     shift_orbit_index,
 )
-from .stats import CovResult, KsResult, cov_test, ks_test
+from .stats import KsResult, cov_test, ks_test
 from .walk import (
     WalkConfig,
     WalkRun,

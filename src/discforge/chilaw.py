@@ -49,11 +49,6 @@ class ChiLaw:
         object.__setattr__(self, "r", int(self.r))
         object.__setattr__(self, "sigma2", float(self.sigma2))
 
-    @property
-    def mode(self) -> float:
-        """Density maximizer sigma * sqrt(r - 1)."""
-        return math.sqrt(self.sigma2 * (self.r - 1))
-
 
 def sigma_star(r: int) -> float:
     """Smallest admissible standard deviation 1 / (2 sqrt(r - 1)).

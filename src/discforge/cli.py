@@ -35,7 +35,9 @@ from .instances import SHAPE_PARAMS, gen as gen_instance, unit_columns
 from .kernel import KernelParams, advance_chain_batch
 from .linalg import read_matrix, write_matrix
 from .parallel import map_trials
-from .report import SCHEMA_VERSION, ExperimentReport, check_trials, strict_json, verdict
+from .report import (
+    PASS_FRACTION, SCHEMA_VERSION, ExperimentReport, check_trials, strict_json, verdict,
+)
 from .rng import RngHandle
 from .rounding import rounding_experiment
 from .stats import COV_MIN_SAMPLES, cov_test, ks_test
@@ -44,7 +46,6 @@ from .walk import WalkConfig, banaszczyk_rank, walk_run
 # Frozen acceptance factor for the online Gaussian-discrepancy run: the
 # estimate must stay below BANASZCZYK_FACTOR * sqrt(ln(2 m T / delta)).
 BANASZCZYK_FACTOR = 6.0
-PASS_FRACTION = 0.95
 
 
 def _digest(*paths: str) -> str:
@@ -135,15 +136,12 @@ def cmd_stationarity(args: argparse.Namespace) -> int:
     xs = advance_chain_batch(params, x0, args.steps, gen)
     elapsed = time.perf_counter() - t0
     law = ChiLaw(args.r, sigma2)
-    radius = ks_test(np.linalg.norm(xs, axis=1), lambda s: chi_cdf(law, s), args.level)
-    coords = [
-        ks_test(xs[:, j], lambda s: ndtr(s / args.sigma), args.level)
-        for j in range(args.r)
-    ]
-    cov = cov_test(xs, sigma2 * np.eye(args.r), args.cov_tol)
+    radius = ks_test(np.linalg.norm(xs, axis=1), lambda s: chi_cdf(law, s))
+    coords = [ks_test(xs[:, j], lambda s: ndtr(s / args.sigma)) for j in range(args.r)]
+    cov_dev = cov_test(xs, sigma2 * np.eye(args.r))
     verdicts = {
         "ks_radius": verdict(radius.p_value, args.level, ">="),
-        "cov_entrywise": verdict(cov.max_abs_deviation, args.cov_tol, "<="),
+        "cov_entrywise": verdict(cov_dev, args.cov_tol, "<="),
     }
     for j, res in enumerate(coords):
         verdicts[f"ks_coordinate_{j}"] = verdict(res.p_value, args.level, ">=")
@@ -152,51 +150,44 @@ def cmd_stationarity(args: argparse.Namespace) -> int:
         spec={"r": args.r, "sigma": args.sigma, "runs": args.runs, "steps": args.steps, "level": args.level},
         seed=asdict(handle),
         metrics=[{"ks_radius": radius.to_dict(), "ks_coords": [c.to_dict() for c in coords]}],
-        summary={"ks_radius": radius.to_dict(), "cov_max_abs_deviation": cov.max_abs_deviation},
+        summary={"ks_radius": radius.to_dict(), "cov_max_abs_deviation": cov_dev},
         verdicts=verdicts,
         timings={"total_seconds": elapsed},
     )
     return _finish(args, report)
 
 
+def _read_input(args: argparse.Namespace, flag: str, paths: list[str]) -> np.ndarray:
+    """Read the matrix file given by an optional eval flag and add its path
+    to the digest list; a missing flag is an input error naming it."""
+    path = getattr(args, flag[2:])
+    if not path:
+        raise DiscforgeError(f"{args.op} needs {flag}")
+    paths.append(path)
+    return read_matrix(path)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     a = read_matrix(args.input)
     op = args.op
     paths = [args.input]
-    value: float
     std_error = None
     samples = None
     seed = None
     if op == "disc":
         value, _ = disc_bruteforce(a)
+    elif op == "vdisc" and args.units:
+        value = vdisc_objective_units(a, _read_input(args, "--units", paths))
     elif op == "vdisc":
-        if args.units:
-            paths.append(args.units)
-            value = vdisc_objective_units(a, read_matrix(args.units))
-        elif args.coupling:
-            paths.append(args.coupling)
-            value = vdisc_objective(a, read_matrix(args.coupling))
-        else:
-            raise DiscforgeError("vdisc needs --coupling or --units")
+        value = vdisc_objective(a, _read_input(args, "--coupling", paths))
     elif op == "discs":
-        if not args.point:
-            raise DiscforgeError("discs needs --point")
-        paths.append(args.point)
-        value = discs_objective(a, read_matrix(args.point).ravel())
-    elif op == "discg":
-        if not args.coupling or args.seed is None:
-            raise DiscforgeError("discg needs --coupling and --seed")
-        paths.append(args.coupling)
-        est = discG_mc(a, read_matrix(args.coupling), args.samples, RngHandle(args.seed))
-        value, std_error, samples, seed = est.mean, est.std_error, est.samples, asdict(est.seed)
-    elif op == "online-discg":
-        if not args.stream or args.seed is None:
-            raise DiscforgeError("online-discg needs --stream and --seed")
-        paths.append(args.stream)
-        est = online_discG(a, read_matrix(args.stream), args.samples, RngHandle(args.seed))
-        value, std_error, samples, seed = est.mean, est.std_error, est.samples, asdict(est.seed)
+        value = discs_objective(a, _read_input(args, "--point", paths).ravel())
     else:
-        raise DiscforgeError(f"unknown evaluator {op!r}")
+        if args.seed is None:
+            raise DiscforgeError(f"{op} needs --seed")
+        evaluate, flag = (discG_mc, "--coupling") if op == "discg" else (online_discG, "--stream")
+        est = evaluate(a, _read_input(args, flag, paths), args.samples, RngHandle(args.seed))
+        value, std_error, samples, seed = est.mean, est.std_error, est.samples, asdict(est.seed)
     _emit(
         args,
         {

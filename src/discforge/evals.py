@@ -210,14 +210,15 @@ def online_discG(
     rng: RngHandle,
 ) -> McEstimate:
     """Largest-prefix expected sup norm max_t E ||sum_{s<=t} g_s v_s||_inf
-    where g has the Gram matrix of the stream rows.
+    where g has the Gram matrix of the stream rows, which must be unit
+    vectors (NotUnitError otherwise).
 
     The same Gaussian samples are reused across all prefixes, so the
     per-prefix means are comparable and their maximum is stable.
     """
     _check_sampling(samples, rng)
     vs = check_matrix(vs)
-    us = check_matrix(us)
+    us = _check_unit_rows(us)
     if vs.shape[1] != us.shape[0]:
         raise DimMismatchError(
             f"columns {vs.shape} incompatible with stream rows {us.shape}"

@@ -1,11 +1,12 @@
-"""Structured experiment reports.
+"""Structured experiment reports and the verdicts that gate them.
 
 A report carries the full input spec, the seed, raw per-trial or per-round
 metrics, summary statistics, and pass/fail verdicts with their thresholds.
-Serialization is a single JSON summary plus a line-delimited JSON file of
-raw metrics; loading either way round-trips losslessly, and verdicts can
-be recomputed from the stored metrics because thresholds are stored next
-to the values they gate.
+``verdict`` is the one place a measured number becomes pass or fail: the
+statistical tests and experiments return numbers, and each gate is a
+verdict entry that stores its threshold next to the value it gates, so
+verdicts can be recomputed from the stored metrics. Serialization is a
+single JSON summary plus a line-delimited JSON file of raw metrics.
 """
 from __future__ import annotations
 
@@ -16,7 +17,18 @@ from pathlib import Path
 
 SCHEMA_VERSION = 1
 
-__all__ = ["ExperimentReport", "SCHEMA_VERSION", "check_trials", "strict_json", "verdict"]
+__all__ = [
+    "ExperimentReport",
+    "PASS_FRACTION",
+    "SCHEMA_VERSION",
+    "check_trials",
+    "strict_json",
+    "verdict",
+]
+
+# Share of an experiment's trials that must meet their bound for the
+# experiment's fraction verdicts to pass.
+PASS_FRACTION = 0.95
 
 _OPS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
 
@@ -79,27 +91,6 @@ class ExperimentReport:
             "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8"
         )
         return summary_path
-
-    @classmethod
-    def load(cls, out_dir: str | Path, stem: str) -> "ExperimentReport":
-        out_dir = Path(out_dir)
-        data = json.loads((out_dir / f"{stem}.json").read_text(encoding="utf-8"))
-        metrics_path = out_dir / f"{stem}.metrics.jsonl"
-        metrics = []
-        if metrics_path.exists():
-            for line in metrics_path.read_text(encoding="utf-8").splitlines():
-                if line.strip():
-                    metrics.append(json.loads(line))
-        return cls(
-            name=data["experiment"],
-            spec=data["spec"],
-            seed=data["seed"],
-            metrics=metrics,
-            summary=data["summary"],
-            verdicts=data["verdicts"],
-            timings=data.get("timings", {}),
-            schema=data["schema"],
-        )
 
     def reproducible_view(self) -> dict:
         """Everything except wall-clock timings, for equality checks."""

@@ -22,7 +22,7 @@ from .errors import BadSizeError
 from .evals import discG_mc, random_signing_baseline
 from .linalg import psd_cholesky, top_eigvec
 from .parallel import map_trials
-from .report import ExperimentReport, check_trials, verdict
+from .report import PASS_FRACTION, ExperimentReport, check_trials, verdict
 from .rng import RngHandle
 
 __all__ = [
@@ -61,7 +61,6 @@ SPENCER_GW_FACTOR = 0.10
 KOMLOS_GW_FACTOR = 0.14
 
 PLANTED_DISCG_TOL = 1e-6
-PASS_FRACTION = 0.95
 
 
 @dataclass(frozen=True)

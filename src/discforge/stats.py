@@ -1,5 +1,10 @@
-"""Statistical checks used to verify distributional claims: a one-sample
-Kolmogorov-Smirnov test and an entrywise empirical-covariance test.
+"""Statistical measurements used to verify distributional claims: a
+one-sample Kolmogorov-Smirnov test and an entrywise empirical-covariance
+deviation.
+
+Both return numbers only. A caller gates them through ``report.verdict``
+(a p-value against a level, a deviation against a tolerance), which is
+the one place a number becomes pass or fail.
 
 The KS p-value comes from ``scipy.special.kolmogorov``, imported on first
 use so that importing this module loads no scipy.
@@ -14,7 +19,7 @@ import numpy as np
 
 from .errors import TooFewSamplesError
 
-__all__ = ["KsResult", "CovResult", "ks_test", "cov_test"]
+__all__ = ["KsResult", "ks_test", "cov_test"]
 
 KS_MIN_SAMPLES = 10
 COV_MIN_SAMPLES = 100
@@ -25,23 +30,12 @@ class KsResult:
     statistic: float
     n: int
     p_value: float
-    level: float
-    passed: bool
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class CovResult:
-    passed: bool
-    max_abs_deviation: float
-    tol: float
-
-
-def ks_test(
-    samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray], level: float = 0.01
-) -> KsResult:
+def ks_test(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> KsResult:
     """One-sample two-sided KS test of samples against a continuous CDF.
 
     The statistic is D = sup |empirical - cdf| over the sorted samples, and
@@ -59,11 +53,11 @@ def ks_test(
     d_minus = (cdfvals - np.arange(0.0, n) / n).max()
     d = float(max(d_plus, d_minus))
     p = float(kolmogorov(d * math.sqrt(n)))
-    return KsResult(statistic=d, n=n, p_value=p, level=level, passed=p >= level)
+    return KsResult(statistic=d, n=n, p_value=p)
 
 
-def cov_test(samples: np.ndarray, target: np.ndarray, tol: float) -> CovResult:
-    """Entrywise check |empirical covariance - target| <= tol."""
+def cov_test(samples: np.ndarray, target: np.ndarray) -> float:
+    """Largest entrywise |empirical covariance - target|."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
         samples = samples[:, None]
@@ -73,5 +67,4 @@ def cov_test(samples: np.ndarray, target: np.ndarray, tol: float) -> CovResult:
         )
     target = np.atleast_2d(np.asarray(target, dtype=float))
     emp = np.atleast_2d(np.cov(samples, rowvar=False, ddof=1))
-    dev = float(np.abs(emp - target).max())
-    return CovResult(passed=dev <= tol, max_abs_deviation=dev, tol=tol)
+    return float(np.abs(emp - target).max())

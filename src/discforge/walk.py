@@ -182,6 +182,7 @@ def walk_run(config: WalkConfig, vs: np.ndarray) -> WalkRun:
     gen = state.rng
     b = min(max(r, BLOCK_MIN), BLOCK_MAX)
     w = np.asfortranarray(state.w)
+    del state  # frees the C-order W_0 once w holds it in Fortran order
     delta = np.zeros((m, r), order="F")  # signed sum
     sq = np.zeros(m)  # squared row norms of delta
     vblk = np.zeros((m, b), order="F")

@@ -10,6 +10,7 @@ import pytest
 
 import discforge
 from discforge.cli import bench_per_round, main
+from discforge.evals import discs_objective, vdisc_objective
 from discforge.kernel import KernelParams, advance_chain_batch
 from discforge.linalg import read_matrix, write_matrix
 from discforge.rng import RngHandle
@@ -185,7 +186,7 @@ def test_eval_online_discg(tmp_path, capsys):
     vs = tmp_path / "vs.mat"
     write_matrix(vs, np.eye(3))
     stream = tmp_path / "us.mat"
-    write_matrix(stream, np.eye(3)[:, :2])
+    write_matrix(stream, np.eye(3))
     rc = main([
         "eval", "online-discg", "--input", str(vs), "--stream", str(stream),
         "--samples", "20000", "--seed", "6",
@@ -193,6 +194,59 @@ def test_eval_online_discg(tmp_path, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["value"] > 0.5
+
+
+def test_eval_online_discg_rejects_non_unit_stream(tmp_path, capsys):
+    vs = tmp_path / "vs.mat"
+    write_matrix(vs, np.eye(3))
+    stream = tmp_path / "us.mat"
+    write_matrix(stream, 2.0 * np.eye(3)[:, :2])
+    rc = main([
+        "eval", "online-discg", "--input", str(vs), "--stream", str(stream),
+        "--samples", "100", "--seed", "6",
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unit vectors" in captured.err
+
+
+def test_eval_matches_the_library_objectives(tmp_path, capsys):
+    gen = RngHandle(16).generator()
+    u = gen.standard_normal((5, 2))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    x = gen.standard_normal(5)
+    files = {
+        "a": gen.standard_normal((3, 5)),
+        "c": u @ u.T,
+        "p": (math.sqrt(5.0) / np.linalg.norm(x) * x)[None, :],
+    }
+    for name, arr in files.items():
+        write_matrix(tmp_path / f"{name}.mat", arr)
+    a, coupling, point = (read_matrix(tmp_path / f"{name}.mat") for name in files)
+    base = ["--input", str(tmp_path / "a.mat")]
+    assert main(["eval", "discs", *base, "--point", str(tmp_path / "p.mat")]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == discs_objective(a, point.ravel())
+    assert main(["eval", "vdisc", *base, "--coupling", str(tmp_path / "c.mat")]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == vdisc_objective(a, coupling)
+
+
+def test_eval_names_a_missing_input(tmp_path, capsys):
+    mat = tmp_path / "a.mat"
+    write_matrix(mat, np.eye(2))
+    cases = [
+        ("vdisc", [], "--coupling"),
+        ("discs", [], "--point"),
+        ("discg", ["--seed", "1"], "--coupling"),
+        ("discg", ["--coupling", str(mat)], "--seed"),
+        ("online-discg", ["--seed", "1"], "--stream"),
+        ("online-discg", ["--stream", str(mat)], "--seed"),
+    ]
+    for op, given, missing in cases:
+        assert main(["eval", op, "--input", str(mat), *given]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {op} needs {missing}\n"
 
 
 def test_stationarity_passes(tmp_path):

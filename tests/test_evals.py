@@ -196,6 +196,20 @@ def test_online_discg_single_round():
     assert abs(est.mean - ROOT_2_OVER_PI) <= 3.0 * est.std_error
 
 
+def test_online_discg_one_sample_has_zero_std_error():
+    est = online_discG(np.eye(3), unit_rows(3, 2, 63), 1, RngHandle(64))
+    assert est.samples == 1 and est.std_error == 0.0
+    assert est.mean > 0.0
+
+
+def test_online_discg_rejects_non_unit_stream():
+    # a stream row of norm c gives g_t variance c^2: not a Gaussian
+    # discrepancy, so it is rejected like vdisc_objective_units rejects it
+    for us in (2.0 * np.eye(3)[:, :2], np.eye(3)[:, :2]):
+        with pytest.raises(NotUnitError):
+            online_discG(np.eye(3), us, 1000, RngHandle(65))
+
+
 def test_online_discg_zero_and_empty():
     est = online_discG(np.zeros((3, 4)), unit_rows(4, 2, 39), 1000, RngHandle(40))
     assert est.mean == 0.0
@@ -299,6 +313,15 @@ def test_triangle_gaussian_rows():
         assert np.abs(np.linalg.norm(u, axis=1) - 1.0).max() < 1e-9
         assert np.linalg.norm(a @ u) < 1e-8
         assert vdisc_objective_units(a[None, :], u) < 1e-8
+
+
+def test_triangle_zero_and_two_equal_sides():
+    # all block sums zero, and one zero block beside two equal ones
+    for a in ([0.0, 0.0, 0.0], [1.0, 0.0, -1.0]):
+        a = np.array(a)
+        u = triangle_rank2(a, (1, 1, 1))
+        assert np.abs(np.linalg.norm(u, axis=1) - 1.0).max() < 1e-12
+        assert np.linalg.norm(a @ u) < 1e-12
 
 
 def test_triangle_signs_applied():

@@ -124,6 +124,23 @@ def test_kernel_step_inner_branch():
         assert abs(np.linalg.norm(y - x) - 1.0) < 1e-9
 
 
+def test_kernel_step_at_origin_is_a_uniform_unit_vector():
+    # at the origin the step direction is uniform on the sphere
+    from discforge.stats import ks_test
+
+    draws = 4000
+    gen = RngHandle(14).generator()
+    us = np.array([kernel_step(KernelParams(2, 0.25), np.zeros(2), gen) for _ in range(draws)])
+    assert np.abs(np.linalg.norm(us, axis=1) - 1.0).max() < 1e-12
+    angles = np.arctan2(us[:, 1], us[:, 0])
+    assert ks_test(angles, lambda v: (v + math.pi) / (2.0 * math.pi)).p_value >= 0.01
+    gen = RngHandle(15).generator()
+    us = np.array([kernel_step(KernelParams(3, 0.25), np.zeros(3), gen) for _ in range(draws)])
+    assert np.abs(np.linalg.norm(us, axis=1) - 1.0).max() < 1e-12
+    # each coordinate of a uniform unit vector in R^3 has variance 1/3
+    assert np.abs(us.mean(axis=0)).max() <= 3.0 * math.sqrt(1.0 / 3.0 / draws)
+
+
 def test_kernel_step_outer_branch_preserves_radius():
     params = KernelParams(2, 0.25)
     gen = RngHandle(2).generator()
@@ -189,8 +206,8 @@ def test_run_chain_stationary_marginal():
         x0 = sigma * gen.standard_normal(r)
         finals[k] = run_chain(params, x0, 40, gen)[-1]
     law = ChiLaw(r, sigma * sigma)
-    res = ks_test(np.linalg.norm(finals, axis=1), lambda s: chi_cdf(law, s), 0.01)
-    assert res.passed
+    res = ks_test(np.linalg.norm(finals, axis=1), lambda s: chi_cdf(law, s))
+    assert res.p_value >= 0.01
 
 
 def test_run_chain_outer_start_keeps_radius():

@@ -15,15 +15,6 @@ def make_report():
     )
 
 
-def test_round_trip_is_lossless(tmp_path):
-    report = make_report()
-    report.save(tmp_path)
-    loaded = ExperimentReport.load(tmp_path, "demo")
-    assert loaded.reproducible_view() == report.reproducible_view()
-    assert loaded.metrics == report.metrics
-    assert loaded.passed
-
-
 def test_verdict_computes_passed_from_op():
     assert verdict(2.5, 3.0, "<=") == {"value": 2.5, "threshold": 3.0, "op": "<=", "passed": True}
     assert not verdict(0.9, 0.95, ">=")["passed"]
