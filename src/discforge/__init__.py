@@ -17,7 +17,7 @@ from .evals import (
     vdisc_objective,
     vdisc_objective_units,
 )
-from .instances import gen, unit_columns
+from .instances import unit_columns
 from .kernel import (
     KernelParams,
     advance_chain_batch,
@@ -44,7 +44,6 @@ from .rounding import (
     make_planted,
     pca_round,
     rounding_experiment,
-    shift,
     shift_orbit_index,
 )
 from .stats import KsResult, cov_test, ks_test

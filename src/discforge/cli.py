@@ -31,7 +31,7 @@ from .evals import (
     vdisc_objective,
     vdisc_objective_units,
 )
-from .instances import SHAPE_PARAMS, gen as gen_instance, unit_columns
+from .instances import unit_columns
 from .kernel import KernelParams, advance_chain_batch
 from .linalg import read_matrix, write_matrix
 from .parallel import map_trials
@@ -39,7 +39,7 @@ from .report import (
     PASS_FRACTION, SCHEMA_VERSION, ExperimentReport, check_trials, strict_json, verdict,
 )
 from .rng import RngHandle
-from .rounding import rounding_experiment
+from .rounding import make_planted, rounding_experiment
 from .stats import COV_MIN_SAMPLES, cov_test, ks_test
 from .walk import WalkConfig, banaszczyk_rank, walk_run
 
@@ -157,16 +157,6 @@ def cmd_stationarity(args: argparse.Namespace) -> int:
     return _finish(args, report)
 
 
-def _read_input(args: argparse.Namespace, flag: str, paths: list[str]) -> np.ndarray:
-    """Read the matrix file given by an optional eval flag and add its path
-    to the digest list; a missing flag is an input error naming it."""
-    path = getattr(args, flag[2:])
-    if not path:
-        raise DiscforgeError(f"{args.op} needs {flag}")
-    paths.append(path)
-    return read_matrix(path)
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     a = read_matrix(args.input)
     op = args.op
@@ -176,17 +166,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     seed = None
     if op == "disc":
         value, _ = disc_bruteforce(a)
-    elif op == "vdisc" and args.units:
-        value = vdisc_objective_units(a, _read_input(args, "--units", paths))
+    elif op == "vdisc" and args.units is not None:
+        paths.append(args.units)
+        value = vdisc_objective_units(a, read_matrix(args.units))
     elif op == "vdisc":
-        value = vdisc_objective(a, _read_input(args, "--coupling", paths))
+        paths.append(args.coupling)
+        value = vdisc_objective(a, read_matrix(args.coupling))
     elif op == "discs":
-        value = discs_objective(a, _read_input(args, "--point", paths).ravel())
+        paths.append(args.point)
+        value = discs_objective(a, read_matrix(args.point).ravel())
     else:
-        if args.seed is None:
-            raise DiscforgeError(f"{op} needs --seed")
-        evaluate, flag = (discG_mc, "--coupling") if op == "discg" else (online_discG, "--stream")
-        est = evaluate(a, _read_input(args, flag, paths), args.samples, RngHandle(args.seed))
+        evaluate, path = (discG_mc, args.coupling) if op == "discg" else (online_discG, args.stream)
+        paths.append(path)
+        est = evaluate(a, read_matrix(path), args.samples, RngHandle(args.seed))
         value, std_error, samples, seed = est.mean, est.std_error, est.samples, asdict(est.seed)
     _emit(
         args,
@@ -288,10 +280,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    rng = RngHandle(args.seed) if args.seed is not None else None
-    a = gen_instance(args.kind, rng, m=args.m, n=args.n, t=args.t, scale=args.scale)
+    kind = args.kind
+    if kind == "identity":
+        a = np.eye(args.t)
+    elif kind == "random-unit-columns":
+        a = unit_columns(args.m, args.t, RngHandle(args.seed))
+    elif kind == "gaussian-dense":
+        a = args.scale * RngHandle(args.seed).generator().standard_normal((args.m, args.n))
+    else:
+        a = make_planted(args.m, args.n, RngHandle(args.seed).generator()).a
     write_matrix(args.out, a)
-    print(strict_json({"kind": args.kind, "shape": list(a.shape), "out": str(args.out)}))
+    print(strict_json({"kind": kind, "shape": list(a.shape), "out": str(args.out)}))
     return 0
 
 
@@ -320,17 +319,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="directory for the report files")
     p.set_defaults(func=cmd_stationarity)
 
+    # each eval op declares the inputs it reads, and nothing else
     p = sub.add_parser("eval", help="evaluate a discrepancy objective")
-    p.add_argument("op", choices=["disc", "vdisc", "discs", "discg", "online-discg"])
-    p.add_argument("--input", required=True, help="instance matrix file")
-    p.add_argument("--coupling", default=None, help="correlation matrix file")
-    p.add_argument("--units", default=None, help="unit-row matrix file")
-    p.add_argument("--point", default=None, help="sphere point file (one row)")
-    p.add_argument("--stream", default=None, help="unit-vector stream file")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="write the JSON result here")
     p.set_defaults(func=cmd_eval)
+    ops = p.add_subparsers(dest="op", required=True)
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--input", required=True, help="instance matrix file")
+    files.add_argument("--out", default=None, help="write the JSON result here")
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--samples", type=int, default=100_000)
+    sampling.add_argument("--seed", type=int, required=True)
+    ops.add_parser("disc", parents=[files], help="exact combinatorial discrepancy")
+    q = ops.add_parser("vdisc", parents=[files], help="vector discrepancy objective")
+    given = q.add_mutually_exclusive_group(required=True)
+    given.add_argument("--coupling", help="correlation matrix file")
+    given.add_argument("--units", help="unit-row matrix file")
+    q = ops.add_parser("discs", parents=[files], help="spherical discrepancy objective")
+    q.add_argument("--point", required=True, help="sphere point file (one row)")
+    q = ops.add_parser("discg", parents=[files, sampling], help="Gaussian discrepancy of a coupling")
+    q.add_argument("--coupling", required=True, help="correlation matrix file")
+    q = ops.add_parser(
+        "online-discg", parents=[files, sampling], help="Gaussian discrepancy of a walk's stream"
+    )
+    q.add_argument("--stream", required=True, help="unit-vector stream file")
 
     p = sub.add_parser("rounding", help="rounding-failure experiment")
     p.add_argument("--setting", choices=["spencer", "komlos"], required=True)
@@ -359,15 +370,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 
+    # each gen kind declares the shape and seed flags it reads, and nothing else
     p = sub.add_parser("gen", help="generate an instance matrix file")
-    p.add_argument("--kind", choices=list(SHAPE_PARAMS), required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--scale", type=float, default=1.0, help="gaussian-dense entry scale")
     p.set_defaults(func=cmd_gen)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True)
+    q = kinds.add_parser("identity", parents=[out], help="the t x t identity")
+    q.add_argument("--t", type=int, required=True)
+    q = kinds.add_parser("random-unit-columns", parents=[out], help="m x t uniform unit columns")
+    for flag in ("--m", "--t", "--seed"):
+        q.add_argument(flag, type=int, required=True)
+    q = kinds.add_parser("gaussian-dense", parents=[out], help="m x n standard normal entries")
+    for flag in ("--m", "--n", "--seed"):
+        q.add_argument(flag, type=int, required=True)
+    q.add_argument("--scale", type=float, default=1.0, help="entry scale")
+    q = kinds.add_parser("planted", parents=[out], help="the planted rounding family, m x n")
+    for flag in ("--m", "--n", "--seed"):
+        q.add_argument(flag, type=int, required=True)
 
     return parser
 

@@ -53,9 +53,5 @@ class BadSizeError(DiscforgeError):
     """Planted instances need n = 2 (mod 4), n >= 6."""
 
 
-class BadSpecError(DiscforgeError):
-    """Instance generator spec is malformed."""
-
-
 class TooFewSamplesError(DiscforgeError):
     """Not enough samples for the requested statistical test."""

@@ -30,7 +30,6 @@ __all__ = [
     "make_planted",
     "gw_round",
     "pca_round",
-    "shift",
     "half_ones",
     "shift_orbit_index",
     "spencer_rows",
@@ -114,11 +113,6 @@ def pca_round(sigma: np.ndarray, init: np.ndarray) -> np.ndarray:
     """
     v = top_eigvec(np.asarray(sigma, dtype=float), init)
     return np.where(v >= 0.0, 1.0, -1.0)
-
-
-def shift(v: np.ndarray) -> np.ndarray:
-    """Cyclic left shift (v_2, ..., v_n, v_1)."""
-    return np.roll(np.asarray(v), -1)
 
 
 def half_ones(n: int) -> np.ndarray:

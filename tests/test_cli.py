@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,16 +10,17 @@ import numpy as np
 import pytest
 
 import discforge
-from discforge.cli import bench_per_round, main
+from discforge.cli import bench_per_round, build_parser, main
 from discforge.evals import discs_objective, vdisc_objective
 from discforge.kernel import KernelParams, advance_chain_batch
 from discforge.linalg import read_matrix, write_matrix
 from discforge.rng import RngHandle
+from discforge.rounding import make_planted
 
 
 def test_gen_identity(tmp_path, capsys):
     out = tmp_path / "id.mat"
-    assert main(["gen", "--kind", "identity", "--t", "5", "--out", str(out)]) == 0
+    assert main(["gen", "identity", "--t", "5", "--out", str(out)]) == 0
     assert np.array_equal(read_matrix(out), np.eye(5))
     meta = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert meta["shape"] == [5, 5]
@@ -26,31 +28,63 @@ def test_gen_identity(tmp_path, capsys):
 
 def test_gen_random_unit_columns_from_flags(tmp_path):
     out = tmp_path / "cols.mat"
-    rc = main([
-        "gen", "--kind", "random-unit-columns", "--m", "6", "--t", "12",
-        "--seed", "5", "--out", str(out),
-    ])
-    assert rc == 0
-    a = read_matrix(out)
-    assert a.shape == (6, 12)
-    assert np.abs(np.linalg.norm(a, axis=0) - 1.0).max() <= 1e-12
+    for m, t, seed in ((6, 12, 5), (8, 100, 80)):
+        rc = main([
+            "gen", "random-unit-columns", "--m", str(m), "--t", str(t),
+            "--seed", str(seed), "--out", str(out),
+        ])
+        assert rc == 0
+        a = read_matrix(out)
+        assert a.shape == (m, t)
+        assert np.abs(np.linalg.norm(a, axis=0) - 1.0).max() <= 1e-12
+
+
+def _gen(tmp_path, kind, *flags):
+    out = tmp_path / f"{kind}.mat"
+    assert main(["gen", kind, *flags, "--out", str(out)]) == 0
+    return read_matrix(out)
+
+
+def test_gen_gaussian_dense_scale(tmp_path):
+    a = _gen(tmp_path, "gaussian-dense", "--m", "40", "--n", "50", "--seed", "81", "--scale", "2")
+    b = _gen(tmp_path, "gaussian-dense", "--m", "40", "--n", "50", "--seed", "81")
+    assert np.array_equal(a, 2.0 * b)
+
+
+def test_gen_planted(tmp_path):
+    a = _gen(tmp_path, "planted", "--m", "6", "--n", "102", "--seed", "83")
+    assert a.shape == (6, 102)
+    j = np.arange(1, 103)
+    c = np.cos(2 * np.pi * j / 102)
+    assert np.abs(a @ c).max() < 1e-8
+    # the seed's generator feeds make_planted from the start of its stream
+    assert np.array_equal(a, make_planted(6, 102, RngHandle(83).generator()).a)
+
+
+def test_gen_reproducible(tmp_path):
+    flags = ["--m", "3", "--n", "4", "--seed", "84"]
+    assert np.array_equal(_gen(tmp_path, "gaussian-dense", *flags),
+                          _gen(tmp_path, "gaussian-dense", *flags))
 
 
 def test_gen_kinds_flags_and_seed(tmp_path, capsys):
     out = str(tmp_path / "a.mat")
     # gaussian-dense with one row is the number-balancing instance
-    assert main(["gen", "--kind", "gaussian-dense", "--m", "1", "--n", "300",
+    assert main(["gen", "gaussian-dense", "--m", "1", "--n", "300",
                  "--seed", "82", "--out", out]) == 0
     assert np.array_equal(read_matrix(out), RngHandle(82).generator().standard_normal((1, 300)))
     for argv, problem in (
-        (["--kind", "nonsense", "--t", "3"], "invalid choice"),
-        (["--kind", "identity"], "needs parameters ['t']"),
-        (["--kind", "planted", "--m", "6"], "needs parameters ['n']"),
-        (["--kind", "gaussian-dense", "--m", "2", "--n", "2"], "needs a seed"),
+        (["nonsense", "--t", "3"], "invalid choice"),
+        (["nonsense", "--m", "2", "--n", "2", "--seed", "0"], "invalid choice"),
+        (["identity"], "--t"),
+        (["planted", "--m", "6"], "--n"),
+        (["gaussian-dense", "--m", "2", "--n", "2"], "--seed"),
     ):
         capsys.readouterr()
         assert main(["gen", *argv, "--out", out]) == 2
-        assert problem in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert problem in captured.err
 
 
 def test_gen_takes_no_config_file(tmp_path):
@@ -58,10 +92,59 @@ def test_gen_takes_no_config_file(tmp_path):
     cfg = tmp_path / "spec.cfg"
     cfg.write_text("m=6\nt=12\n", encoding="utf-8")
     rc = main([
-        "gen", "--kind", "random-unit-columns", "--config", str(cfg),
+        "gen", "random-unit-columns", "--config", str(cfg),
         "--seed", "5", "--out", str(tmp_path / "cols.mat"),
     ])
     assert rc == 2
+
+
+# One valid command line per eval op and gen kind, as the flags it reads.
+# vdisc reads exactly one of --coupling and --units.
+READS = {
+    ("eval", "disc"): [[]],
+    ("eval", "vdisc"): [["--coupling"], ["--units"]],
+    ("eval", "discs"): [["--point"]],
+    ("eval", "discg"): [["--coupling", "--samples", "--seed"]],
+    ("eval", "online-discg"): [["--stream", "--samples", "--seed"]],
+    ("gen", "identity"): [["--t"]],
+    ("gen", "random-unit-columns"): [["--m", "--t", "--seed"]],
+    ("gen", "gaussian-dense"): [["--m", "--n", "--seed", "--scale"]],
+    ("gen", "planted"): [["--m", "--n", "--seed"]],
+}
+
+
+@pytest.mark.parametrize("command, op", list(READS), ids=[op for _, op in READS])
+def test_flags_of_other_ops_exit_2(tmp_path, capsys, command, op):
+    eye = tmp_path / "eye.mat"
+    write_matrix(eye, np.eye(2))
+    point = tmp_path / "point.mat"
+    write_matrix(point, np.ones((1, 2)))
+    value = {
+        "--coupling": str(eye), "--units": str(eye), "--point": str(point), "--stream": str(eye),
+        "--samples": "10", "--seed": "4", "--m": "3", "--n": "10", "--t": "3", "--scale": "100",
+    }
+    fixed = ["--input", str(eye)] if command == "eval" else ["--out", str(tmp_path / "g.mat")]
+    own = {flag for flags in READS[command, op] for flag in flags}
+    others = sorted({
+        flag for (cmd, _), runs in READS.items() if cmd == command for flags in runs for flag in flags
+    } - own)
+    assert others
+    cases = []
+    for flags in READS[command, op]:
+        argv = [command, op, *fixed, *(x for flag in flags for x in (flag, value[flag]))]
+        assert main(argv) == 0, argv
+        cases += [[*argv, flag, value[flag]] for flag in others]
+    # vdisc's two alternatives together, and several foreign flags on one line
+    cases += {
+        "vdisc": [["eval", "vdisc", *fixed, "--units", str(eye), "--coupling", str(eye)]],
+        "disc": [["eval", "disc", *fixed, "--seed", "4", "--samples", "9", "--stream", str(eye)]],
+        "identity": [["gen", "identity", *fixed, "--t", "3", "--m", "9", "--n", "4",
+                      "--seed", "5", "--scale", "7"]],
+    }.get(op, [])
+    capsys.readouterr()
+    for argv in cases:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().out == "", argv
 
 
 def test_negative_seed_recorded_as_masked_handle(tmp_path):
@@ -246,7 +329,8 @@ def test_eval_names_a_missing_input(tmp_path, capsys):
         assert main(["eval", op, "--input", str(mat), *given]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {op} needs {missing}\n"
+        assert captured.err.startswith(f"usage: discforge eval {op} ")
+        assert missing in captured.err.splitlines()[-1]
 
 
 def test_stationarity_passes(tmp_path):
@@ -400,3 +484,16 @@ def test_usage_errors(tmp_path, capsys):
     # --out naming a directory is an error, not a silent skip
     assert main(["eval", "disc", "--input", str(mat), "--out", str(tmp_path)]) == 2
     assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_readme_usage_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    usage = readme.split("## Command-line usage", 1)[1].split("\n## ", 1)[0]
+    lines = [line for line in usage.splitlines() if line.startswith("discforge ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README usage line does not parse: {line}")

@@ -15,7 +15,6 @@ from discforge.rounding import (
     make_planted,
     pca_round,
     rounding_experiment,
-    shift,
     shift_orbit_index,
     spencer_rows,
 )
@@ -79,15 +78,6 @@ def test_pca_round_identity_returns_signs():
     assert np.array_equal(out, np.where(init >= 0.0, 1.0, -1.0))
 
 
-def test_shift_examples():
-    assert np.array_equal(shift(np.array([1, 2, 3])), [2, 3, 1])
-    v = np.arange(7)
-    out = v
-    for _ in range(7):
-        out = shift(out)
-    assert np.array_equal(out, v)
-
-
 def _orbit_index_by_roll(sigma, w):
     """Reference: try the left shifts of w in turn."""
     if np.shape(sigma) != np.shape(w):
@@ -101,7 +91,7 @@ def _orbit_index_by_roll(sigma, w):
 def test_shift_orbit_index():
     w = half_ones(6)
     assert shift_orbit_index(w, w) == 0
-    assert shift_orbit_index(shift(shift(w)), w) == 2
+    assert shift_orbit_index(np.roll(w, -2), w) == 2
     assert shift_orbit_index(np.ones(6), w) is None
     alt = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
     w10 = half_ones(10)
@@ -141,7 +131,7 @@ def test_balanced_sum_norm_is_shift_invariant():
     ref = np.linalg.norm(w @ u)
     cur = w
     for _ in range(n):
-        cur = shift(cur)
+        cur = np.roll(cur, -1)
         assert abs(np.linalg.norm(cur @ u) - ref) < 1e-9
 
 
@@ -151,7 +141,7 @@ def test_row_projections_same_law_across_shifts():
     inst = make_planted(4000, n, gen)
     w = half_ones(n)
     a = inst.a @ w
-    b = inst.a @ shift(w)
+    b = inst.a @ np.roll(w, -1)
     res = ks_2samp(a, b)
     assert res.pvalue >= 0.01
 
