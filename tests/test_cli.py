@@ -28,15 +28,14 @@ def test_gen_identity(tmp_path, capsys):
 
 def test_gen_random_unit_columns_from_flags(tmp_path):
     out = tmp_path / "cols.mat"
-    for m, t, seed in ((6, 12, 5), (8, 100, 80)):
-        rc = main([
-            "gen", "random-unit-columns", "--m", str(m), "--t", str(t),
-            "--seed", str(seed), "--out", str(out),
-        ])
-        assert rc == 0
-        a = read_matrix(out)
-        assert a.shape == (m, t)
-        assert np.abs(np.linalg.norm(a, axis=0) - 1.0).max() <= 1e-12
+    rc = main([
+        "gen", "random-unit-columns", "--m", "6", "--t", "12",
+        "--seed", "5", "--out", str(out),
+    ])
+    assert rc == 0
+    a = read_matrix(out)
+    assert a.shape == (6, 12)
+    assert np.abs(np.linalg.norm(a, axis=0) - 1.0).max() <= 1e-12
 
 
 def _gen(tmp_path, kind, *flags):
@@ -75,7 +74,6 @@ def test_gen_kinds_flags_and_seed(tmp_path, capsys):
     assert np.array_equal(read_matrix(out), RngHandle(82).generator().standard_normal((1, 300)))
     for argv, problem in (
         (["nonsense", "--t", "3"], "invalid choice"),
-        (["nonsense", "--m", "2", "--n", "2", "--seed", "0"], "invalid choice"),
         (["identity"], "--t"),
         (["planted", "--m", "6"], "--n"),
         (["gaussian-dense", "--m", "2", "--n", "2"], "--seed"),
