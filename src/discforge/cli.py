@@ -158,8 +158,10 @@ def cmd_stationarity(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    a = read_matrix(args.input)
     op = args.op
+    if "samples" in args:  # the Monte Carlo ops
+        _check_flag(args.samples >= 1, "--samples", "be at least 1", args.samples)
+    a = read_matrix(args.input)
     paths = [args.input]
     std_error = None
     samples = None
@@ -220,6 +222,7 @@ def cmd_banaszczyk(args: argparse.Namespace) -> int:
     _check_flag(args.m >= 1, "--m", "be at least 1", args.m)
     _check_flag(args.t >= 1, "--t", "be at least 1", args.t)
     _check_flag(0.0 < args.delta < 1.0, "--delta", "lie in (0, 1)", args.delta)
+    _check_flag(args.samples >= 1, "--samples", "be at least 1", args.samples)
     rank = banaszczyk_rank(args.m, args.t, args.delta) if args.rank is None else args.rank
     handle = RngHandle(args.seed)
     threshold = BANASZCZYK_FACTOR * math.sqrt(math.log(2.0 * args.m * args.t / args.delta))

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 
 from .chilaw import sigma_star
 from .errors import DimMismatchError, InconsistentStreamError, NormTooLargeError
@@ -126,7 +125,8 @@ def _advance(
     if v.shape != (m,):
         raise DimMismatchError(f"vector has shape {v.shape}, expected ({m},)")
     if nsq is None:
-        nsq = float(v @ v)
+        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+            nsq = float(v @ v)
     norm = math.sqrt(nsq)
     if not norm <= 1.0 + NORM_SLACK:  # also true for nan and inf
         if not np.isfinite(v).all():
@@ -163,9 +163,10 @@ def walk_run(config: WalkConfig, vs: np.ndarray) -> WalkRun:
     step on the same draws as walk_step. Once the block's emitted rows U
     are known, D = Delta U^T + V triu(U U^T, 1) holds Delta_{j-1} u_j for
     every round j, the squared row norms of the signed sum Delta advance
-    round by round by v_j * (2 D[:, j] + v_j) (u_j is a unit vector), and
-    W and Delta take V U in place. The squared norms are recomputed from
-    Delta every few blocks, so their drift stays bounded.
+    by v_j * (2 D[:, j] + v_j) (u_j is a unit vector) in one cumulative
+    sum along the block, and V U, formed once, is added to W and Delta.
+    The squared norms are recomputed from Delta every few blocks, so their
+    drift stays bounded.
 
     Every BLAS product has the same shapes whatever T is, and a round's
     outputs depend on no later column: us and row_norms of a prefix of vs
@@ -187,7 +188,8 @@ def walk_run(config: WalkConfig, vs: np.ndarray) -> WalkRun:
     sq = np.zeros(m)  # squared row norms of delta
     vblk = np.zeros((m, b), order="F")
     ublk = np.zeros((b, r))
-    inc = np.empty((m, b), order="F")  # per-round increments of sq
+    inc = np.empty((m, b), order="F")  # per-round increments of sq, then sq itself
+    step = np.empty((m, r), order="F")  # the block's V U
     us = np.empty((big_t, r))
     row_norms = np.empty(big_t)
     for k, start in enumerate(range(0, big_t, b)):
@@ -195,23 +197,28 @@ def walk_run(config: WalkConfig, vs: np.ndarray) -> WalkRun:
         for i in range(0, m, COPY_ROWS):
             vblk[i : i + COPY_ROWS, :width] = vs[i : i + COPY_ROWS, start : start + width]
         vblk[:, width:] = 0.0
-        g = dgemm(1.0, vblk, vblk, trans_a=1)
-        z = dgemm(1.0, vblk, w, trans_a=1)
+        # _advance rejects a column that is not finite or whose norm overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = vblk.T @ vblk
+            z = vblk.T @ w
         for j in range(width):
             ublk[j] = _advance(
                 vblk[:, j], start + j, (m, r), gen,
                 lambda: z[j] + g[j, :j] @ ublk[:j], nsq=float(g[j, j]),
             )
         us[start : start + width] = ublk[:width]
-        dgemm(2.0, delta, ublk, trans_b=1, c=inc, overwrite_c=1)
-        dgemm(2.0, vblk, np.triu(ublk @ ublk.T, 1), beta=1.0, c=inc, overwrite_c=1)
+        np.matmul(delta, ublk.T, out=inc)
+        inc += (np.triu(ublk @ ublk.T, 1).T @ vblk.T).T  # Fortran order, as inc
+        inc *= 2.0
         inc += vblk
         inc *= vblk
-        for j in range(width):
-            sq += inc[:, j]
-            row_norms[start + j] = math.sqrt(float(sq.max(initial=0.0)))
-        dgemm(1.0, vblk, ublk, beta=1.0, c=w, overwrite_c=1)
-        dgemm(1.0, vblk, ublk, beta=1.0, c=delta, overwrite_c=1)
+        inc[:, 0] += sq
+        np.cumsum(inc, axis=1, out=inc)
+        row_norms[start : start + width] = np.sqrt(inc[:, :width].max(axis=0, initial=0.0))
+        sq[:] = inc[:, width - 1]
+        np.matmul(vblk, ublk, out=step)
+        w += step
+        delta += step
         if k % RESYNC_BLOCKS == RESYNC_BLOCKS - 1:
             np.einsum("ij,ij->i", delta, delta, out=sq)
     return WalkRun(us=us, row_norms=row_norms, running_max=np.maximum.accumulate(row_norms))

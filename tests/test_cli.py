@@ -203,6 +203,17 @@ def test_walk_rejects_non_finite_input(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_walk_rejects_overflowing_input(tmp_path, capsys):
+    # finite entries whose squared norm overflows: an error, and no warning
+    mat = tmp_path / "big.mat"
+    write_matrix(mat, np.full((3, 2), 1e200))
+    rc = main([
+        "walk", "--input", str(mat), "--rank", "4", "--seed", "3", "--out", str(tmp_path / "run"),
+    ])
+    assert rc == 2
+    assert "||v_0|| = inf exceeds 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("op", ["disc", "vdisc", "discg"])
 def test_eval_rejects_non_finite_input(tmp_path, capsys, op):
     mat = tmp_path / "a.mat"
@@ -364,8 +375,9 @@ def test_stationarity_verdicts_match_scipy_stats(tmp_path):
 
 
 def test_runs_without_scipy_stats(tmp_path):
-    # walk, banaszczyk and rounding never need the chi law or a KS test, so
-    # neither importing the package nor running them may load scipy.stats
+    # walk, banaszczyk and rounding never need the chi law or a KS test, and
+    # the walk's products are numpy's, so neither importing the package nor
+    # running them may load any scipy module
     mat = tmp_path / "cols.mat"
     write_matrix(mat, np.eye(6)[:, :5])
     runs = [
@@ -377,10 +389,12 @@ def test_runs_without_scipy_stats(tmp_path):
 import sys
 import discforge
 import discforge.cli
-assert "scipy.stats" not in sys.modules, "import"
+def scipy_modules():
+    return [k for k in sys.modules if k.split(".")[0] == "scipy"]
+assert not scipy_modules(), ("import", scipy_modules())
 for argv in {runs!r}:
     assert discforge.cli.main(argv) == 0, argv[0]
-    assert "scipy.stats" not in sys.modules, argv[0]
+    assert not scipy_modules(), (argv[0], scipy_modules())
 """
     path = [str(Path(discforge.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
@@ -448,12 +462,19 @@ BANASZCZYK = ["banaszczyk", "--trials", "1", "--seed", "1"]
         ([*BANASZCZYK, "--m", "0", "--t", "16"], "--m"),
         ([*BANASZCZYK, "--m", "8", "--t", "0"], "--t"),
         ([*BANASZCZYK, "--m", "8", "--t", "16", "--rank", "0"], "r=0"),
+        ([*BANASZCZYK, "--m", "8", "--t", "16", "--samples", "0"], "--samples"),
+        # the sample count is checked before any file is read
+        (["eval", "discg", "--input", "missing.mat", "--coupling", "missing.mat",
+          "--samples", "0", "--seed", "1"], "--samples"),
+        (["eval", "online-discg", "--input", "missing.mat", "--stream", "missing.mat",
+          "--samples", "0", "--seed", "1"], "--samples"),
     ],
     ids=[
         "delta-0", "delta-1.5", "bench-t-0", "bench-reps-0", "sigma-negative",
         "steps-negative", "steps-0", "level-1.5", "level-0", "cov-tol-0",
         "runs-5", "runs-50",
         "banaszczyk-m-0", "banaszczyk-t-0", "banaszczyk-rank-0",
+        "banaszczyk-samples-0", "discg-samples-0", "online-discg-samples-0",
     ],
 )
 def test_bad_input_exits_2(argv, named, capsys):

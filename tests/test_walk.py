@@ -74,9 +74,12 @@ def test_non_finite_input_is_rejected_before_the_kernel():
             walk_run(config, vs)
         with pytest.raises(ValueError, match="non-finite"):
             walk_step(walk_init(config), vs[:, 2])
-    # finite entries whose squared norm overflows are merely too long
-    with np.errstate(over="ignore"), pytest.raises(NormTooLargeError):
+    # finite entries whose squared norm overflows are merely too long, and
+    # make no overflow warning on the way
+    with pytest.raises(NormTooLargeError):
         walk_run(config, np.full((3, 1), 1e200))
+    with pytest.raises(NormTooLargeError):
+        walk_step(walk_init(config), np.full(3, 1e200))
 
 
 def test_outputs_are_unit_and_telescoping():
