@@ -163,10 +163,12 @@ def walk_run(config: WalkConfig, vs: np.ndarray) -> WalkRun:
     step on the same draws as walk_step. Once the block's emitted rows U
     are known, D = Delta U^T + V triu(U U^T, 1) holds Delta_{j-1} u_j for
     every round j, the squared row norms of the signed sum Delta advance
-    by v_j * (2 D[:, j] + v_j) (u_j is a unit vector) in one cumulative
-    sum along the block, and V U, formed once, is added to W and Delta.
-    The squared norms are recomputed from Delta every few blocks, so their
-    drift stays bounded.
+    round by round by v_j * (2 D[:, j] + v_j) (u_j is a unit vector), and
+    V U, formed once, is added to W and Delta. The squared norms are
+    recomputed from Delta every few blocks, so their drift stays bounded.
+    W, V and Delta sit side by side in one Fortran-order buffer, so [Z G]
+    is one product and D another (numpy would take V^T V alone through
+    syrk, 3x slower than gemm for a thin V).
 
     Every BLAS product has the same shapes whatever T is, and a round's
     outputs depend on no later column: us and row_norms of a prefix of vs
@@ -182,13 +184,13 @@ def walk_run(config: WalkConfig, vs: np.ndarray) -> WalkRun:
     state = walk_init(config)
     gen = state.rng
     b = min(max(r, BLOCK_MIN), BLOCK_MAX)
-    w = np.asfortranarray(state.w)
-    del state  # frees the C-order W_0 once w holds it in Fortran order
-    delta = np.zeros((m, r), order="F")  # signed sum
+    buf = np.zeros((m, r + b + r), order="F")
+    w, vblk, delta = buf[:, :r], buf[:, r : r + b], buf[:, r + b :]  # delta: signed sum
+    w[:] = state.w
+    del state  # frees the C-order W_0 once w holds it
     sq = np.zeros(m)  # squared row norms of delta
-    vblk = np.zeros((m, b), order="F")
     ublk = np.zeros((b, r))
-    inc = np.empty((m, b), order="F")  # per-round increments of sq, then sq itself
+    inc = np.empty((m, b), order="F")  # per-round increments of sq
     step = np.empty((m, r), order="F")  # the block's V U
     us = np.empty((big_t, r))
     row_norms = np.empty(big_t)
@@ -199,23 +201,21 @@ def walk_run(config: WalkConfig, vs: np.ndarray) -> WalkRun:
         vblk[:, width:] = 0.0
         # _advance rejects a column that is not finite or whose norm overflows
         with np.errstate(over="ignore", invalid="ignore"):
-            g = vblk.T @ vblk
-            z = vblk.T @ w
+            zg = vblk.T @ buf[:, : r + b]
+        z, g = zg[:, :r], zg[:, r:]
         for j in range(width):
             ublk[j] = _advance(
                 vblk[:, j], start + j, (m, r), gen,
                 lambda: z[j] + g[j, :j] @ ublk[:j], nsq=float(g[j, j]),
             )
         us[start : start + width] = ublk[:width]
-        np.matmul(delta, ublk.T, out=inc)
-        inc += (np.triu(ublk @ ublk.T, 1).T @ vblk.T).T  # Fortran order, as inc
-        inc *= 2.0
+        coef = np.vstack([np.triu(2.0 * (ublk @ ublk.T), 1), 2.0 * ublk.T])
+        np.matmul(buf[:, r:], coef, out=inc)  # 2 D = [V Delta] coef
         inc += vblk
         inc *= vblk
-        inc[:, 0] += sq
-        np.cumsum(inc, axis=1, out=inc)
-        row_norms[start : start + width] = np.sqrt(inc[:, :width].max(axis=0, initial=0.0))
-        sq[:] = inc[:, width - 1]
+        for j in range(width):
+            sq += inc[:, j]
+            row_norms[start + j] = math.sqrt(float(sq.max(initial=0.0)))
         np.matmul(vblk, ublk, out=step)
         w += step
         delta += step
