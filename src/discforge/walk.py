@@ -166,9 +166,8 @@ def walk_run(config: WalkConfig, vs: np.ndarray) -> WalkRun:
     round by round by v_j * (2 D[:, j] + v_j) (u_j is a unit vector), and
     V U, formed once, is added to W and Delta. The squared norms are
     recomputed from Delta every few blocks, so their drift stays bounded.
-    W, V and Delta sit side by side in one Fortran-order buffer, so [Z G]
-    is one product and D another (numpy would take V^T V alone through
-    syrk, 3x slower than gemm for a thin V).
+    W, V and Delta sit side by side in one buffer, so [Z G] is one gemm
+    and D another (numpy takes V^T V alone through syrk, 3x slower).
 
     Every BLAS product has the same shapes whatever T is, and a round's
     outputs depend on no later column: us and row_norms of a prefix of vs
@@ -192,6 +191,8 @@ def walk_run(config: WalkConfig, vs: np.ndarray) -> WalkRun:
     ublk = np.zeros((b, r))
     inc = np.empty((m, b), order="F")  # per-round increments of sq
     step = np.empty((m, r), order="F")  # the block's V U
+    coef = np.empty((b + r, b))  # [2 triu(U U^T, 1); 2 U^T], so [V Delta] coef = 2 D
+    upper2 = np.triu(np.full((b, b), 2.0), 1)
     us = np.empty((big_t, r))
     row_norms = np.empty(big_t)
     for k, start in enumerate(range(0, big_t, b)):
@@ -209,8 +210,9 @@ def walk_run(config: WalkConfig, vs: np.ndarray) -> WalkRun:
                 lambda: z[j] + g[j, :j] @ ublk[:j], nsq=float(g[j, j]),
             )
         us[start : start + width] = ublk[:width]
-        coef = np.vstack([np.triu(2.0 * (ublk @ ublk.T), 1), 2.0 * ublk.T])
-        np.matmul(buf[:, r:], coef, out=inc)  # 2 D = [V Delta] coef
+        np.multiply(ublk @ ublk.T, upper2, out=coef[:b])
+        np.multiply(ublk.T, 2.0, out=coef[b:])
+        np.matmul(buf[:, r:], coef, out=inc)
         inc += vblk
         inc *= vblk
         for j in range(width):
