@@ -40,7 +40,7 @@ from .report import (
 )
 from .rng import RngHandle
 from .rounding import make_planted, rounding_experiment
-from .stats import COV_MIN_SAMPLES, cov_test, ks_test
+from .stats import COV_MIN_SAMPLES, cov_test, holm_adjust, ks_test
 from .walk import WalkConfig, banaszczyk_rank, walk_run
 
 # Frozen acceptance factor for the online Gaussian-discrepancy run: the
@@ -139,17 +139,20 @@ def cmd_stationarity(args: argparse.Namespace) -> int:
     radius = ks_test(np.linalg.norm(xs, axis=1), lambda s: chi_cdf(law, s))
     coords = [ks_test(xs[:, j], lambda s: ndtr(s / args.sigma)) for j in range(args.r)]
     cov_dev = cov_test(xs, sigma2 * np.eye(args.r))
-    verdicts = {
-        "ks_radius": verdict(radius.p_value, args.level, ">="),
-        "cov_entrywise": verdict(cov_dev, args.cov_tol, "<="),
-    }
-    for j, res in enumerate(coords):
-        verdicts[f"ks_coordinate_{j}"] = verdict(res.p_value, args.level, ">=")
+    # the r + 1 KS verdicts are one family, gated at --level by Holm
+    names = ["ks_radius"] + [f"ks_coordinate_{j}" for j in range(args.r)]
+    adjusted = holm_adjust([radius.p_value] + [c.p_value for c in coords])
+    verdicts = {name: verdict(p, args.level, ">=") for name, p in zip(names, adjusted)}
+    verdicts["cov_entrywise"] = verdict(cov_dev, args.cov_tol, "<=")
     report = ExperimentReport(
         name="stationarity",
         spec={"r": args.r, "sigma": args.sigma, "runs": args.runs, "steps": args.steps, "level": args.level},
         seed=asdict(handle),
-        metrics=[{"ks_radius": radius.to_dict(), "ks_coords": [c.to_dict() for c in coords]}],
+        metrics=[{
+            "ks_radius": radius.to_dict(),
+            "ks_coords": [c.to_dict() for c in coords],
+            "ks_holm_p_values": dict(zip(names, adjusted)),
+        }],
         summary={"ks_radius": radius.to_dict(), "cov_max_abs_deviation": cov_dev},
         verdicts=verdicts,
         timings={"total_seconds": elapsed},

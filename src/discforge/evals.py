@@ -44,6 +44,8 @@ __all__ = [
 
 BRUTE_FORCE_MAX_N = 26
 MC_BLOCK = 8192
+PREFIX_ROUNDS = 4
+PREFIX_BYTES = 1 << 20
 UNIT_ATOL = 1e-9
 
 
@@ -214,7 +216,15 @@ def online_discG(
     vectors (NotUnitError otherwise).
 
     The same Gaussian samples are reused across all prefixes, so the
-    per-prefix means are comparable and their maximum is stable.
+    per-prefix means are comparable and their maximum is stable. Each
+    Monte Carlo block draws g = us @ normals and evaluates the prefixes in
+    blocks of PREFIX_ROUNDS (4) rounds: one product of the round block's
+    V, stacked 4 times with the columns of later rounds masked, with those
+    rows of g gives all 4 prefix increments, which are added to the
+    running sum. The samples go through in column chunks of
+    max(256, PREFIX_BYTES // (8 * 4 * m)) so that product's output stays
+    in cache. The draws are those of the round-by-round recursion
+    acc += v_t g_t, and the estimate agrees with it to rounding.
     """
     _check_sampling(samples, rng)
     vs = check_matrix(vs)
@@ -223,19 +233,40 @@ def online_discG(
         raise DimMismatchError(
             f"columns {vs.shape} incompatible with stream rows {us.shape}"
         )
-    big_t = vs.shape[1]
-    if big_t == 0:
+    m, big_t = vs.shape
+    if big_t == 0 or m == 0:
         return McEstimate(0.0, 0.0, samples, rng)
+    b = PREFIX_ROUNDS
+    n_blocks = -(-big_t // b)
+    # stacks[k] holds b slabs of m rows: slab j is round block k's V with the
+    # columns of its rounds after j zeroed, so stacks[k] @ g[rows] gives the
+    # increments of all b prefixes; the zero pad past round T is never read
+    padded = np.zeros((m, n_blocks * b))
+    padded[:, :big_t] = vs
+    mask = np.tri(b, dtype=bool)[:, None]
+    stacks = padded.reshape(m, n_blocks, b).transpose(1, 0, 2)[:, None] * mask
+    stacks = stacks.reshape(n_blocks, b * m, b)
+    chunk = max(256, PREFIX_BYTES // (8 * b * m))
+
     def block(gen: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
         g = us @ gen.standard_normal((us.shape[1], size))
-        acc = np.zeros((vs.shape[0], size))
-        part_sums = np.empty(big_t)
-        part_sqs = np.empty(big_t)
-        for t in range(big_t):
-            acc += np.outer(vs[:, t], g[t])
-            cur = np.abs(acc).max(axis=0, initial=0.0)
-            part_sums[t] = cur.sum()
-            part_sqs[t] = cur @ cur
+        part_sums = np.zeros(big_t)
+        part_sqs = np.zeros(big_t)
+        for c0 in range(0, size, chunk):
+            cols = min(chunk, size - c0)
+            acc = np.zeros((m, cols))
+            buf = np.empty((b * m, cols))
+            for k, t0 in enumerate(range(0, big_t, b)):
+                nb = min(b, big_t - t0)
+                pre = buf[: nb * m]
+                np.matmul(stacks[k, : nb * m, :nb], g[t0 : t0 + nb, c0 : c0 + cols], out=pre)
+                pre = pre.reshape(nb, m, cols)
+                pre += acc
+                acc[...] = pre[-1]
+                np.abs(pre, out=pre)
+                cur = pre.max(axis=1)
+                part_sums[t0 : t0 + nb] += cur.sum(axis=1)
+                part_sqs[t0 : t0 + nb] += np.einsum("ij,ij->i", cur, cur)
         return part_sums, part_sqs
 
     sums = np.zeros(big_t)

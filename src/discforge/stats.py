@@ -1,6 +1,6 @@
 """Statistical measurements used to verify distributional claims: a
-one-sample Kolmogorov-Smirnov test and an entrywise empirical-covariance
-deviation.
+one-sample Kolmogorov-Smirnov test, an entrywise empirical-covariance
+deviation, and Holm's step-down adjustment of a family of p-values.
 
 Both return numbers only. A caller gates them through ``report.verdict``
 (a p-value against a level, a deviation against a tolerance), which is
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import TooFewSamplesError
 
-__all__ = ["KsResult", "ks_test", "cov_test"]
+__all__ = ["KsResult", "ks_test", "cov_test", "holm_adjust"]
 
 KS_MIN_SAMPLES = 10
 COV_MIN_SAMPLES = 100
@@ -68,3 +68,19 @@ def cov_test(samples: np.ndarray, target: np.ndarray) -> float:
     target = np.atleast_2d(np.asarray(target, dtype=float))
     emp = np.atleast_2d(np.cov(samples, rowvar=False, ddof=1))
     return float(np.abs(emp - target).max())
+
+
+def holm_adjust(p_values) -> list[float]:
+    """Holm's step-down adjusted p-values, in the input order.
+
+    With the K p-values sorted ascending, the i-th (from 0) adjusts to the
+    running maximum of (K - j) p_(j) over j <= i, capped at 1. Gating each
+    adjusted value at a level rejects exactly the hypotheses Holm's
+    procedure rejects, so the family-wise error stays at that level.
+    """
+    p = np.asarray(p_values, dtype=float)
+    order = np.argsort(p, kind="stable")
+    scaled = np.maximum.accumulate((p.size - np.arange(p.size)) * p[order])
+    adjusted = np.empty(p.size)
+    adjusted[order] = np.minimum(scaled, 1.0)
+    return adjusted.tolist()

@@ -16,6 +16,7 @@ from discforge.kernel import KernelParams, advance_chain_batch
 from discforge.linalg import read_matrix, write_matrix
 from discforge.rng import RngHandle
 from discforge.rounding import make_planted
+from discforge.stats import holm_adjust
 
 
 def test_gen_identity(tmp_path, capsys):
@@ -362,6 +363,8 @@ def test_stationarity_verdicts_match_scipy_stats(tmp_path):
     ])
     assert rc == 0
     verdicts = json.loads((tmp_path / "stationarity.json").read_text())["verdicts"]
+    metrics = json.loads((tmp_path / "stationarity.metrics.jsonl").read_text())
+    raw = [metrics["ks_radius"]["p_value"]] + [c["p_value"] for c in metrics["ks_coords"]]
     # the same chains, tested with the scipy.stats forms of the two laws
     gen = RngHandle(seed).generator()
     x0 = sigma * gen.standard_normal((runs, r))
@@ -369,8 +372,11 @@ def test_stationarity_verdicts_match_scipy_stats(tmp_path):
     expected = {"ks_radius": kstest(np.linalg.norm(xs, axis=1), chi(r, scale=sigma).cdf, method="asymp")}
     for j in range(r):
         expected[f"ks_coordinate_{j}"] = kstest(xs[:, j], norm(scale=sigma).cdf, method="asymp")
-    for name, ref in expected.items():
-        assert abs(verdicts[name]["value"] - ref.pvalue) <= 5e-14
+    for p, ref in zip(raw, expected.values()):
+        assert abs(p - ref.pvalue) <= 5e-14
+    # each verdict gates its Holm-adjusted p-value
+    for name, p in zip(expected, holm_adjust(raw)):
+        assert verdicts[name]["value"] == metrics["ks_holm_p_values"][name] == p
         assert verdicts[name]["passed"]
 
 
@@ -425,6 +431,26 @@ def test_banaszczyk_cli(tmp_path):
     report = json.loads((tmp_path / "banaszczyk.json").read_text())
     assert report["spec"]["rank"] == math.ceil(math.log(8 * 32 / 0.05))
     assert report["verdicts"]["estimate_below_threshold"]["passed"]
+
+
+def test_banaszczyk_estimates_lie_in_the_draw_free_sandwich(tmp_path):
+    # with R the largest prefix row norm, the largest row alone gives
+    # E|N(0, R^2)| = sqrt(2/pi) R, and the Gaussian maximal inequality over
+    # 2m signed rows gives sqrt(2 ln 2m) R
+    m = 16
+    for seed in (11, 12):
+        out = tmp_path / str(seed)
+        rc = main([
+            "banaszczyk", "--m", str(m), "--t", "128", "--rank", "11", "--trials", "10",
+            "--samples", "1000", "--seed", str(seed), "--out", str(out),
+        ])
+        assert rc == 0
+        for line in (out / "banaszczyk.metrics.jsonl").read_text().splitlines():
+            row = json.loads(line)
+            big_r = row["max_row_norm"]
+            slack = 3.0 * row["std_error"]
+            assert math.sqrt(2.0 / math.pi) * big_r - slack <= row["estimate"]
+            assert row["estimate"] <= math.sqrt(2.0 * math.log(2.0 * m)) * big_r + slack
 
 
 def test_bench_smoke(capsys):

@@ -11,6 +11,9 @@ from discforge.errors import (
     TooLargeError,
 )
 from discforge.evals import (
+    MC_BLOCK,
+    PREFIX_BYTES,
+    PREFIX_ROUNDS,
     coupling_from_signing,
     coupling_from_units,
     discG_mc,
@@ -236,6 +239,64 @@ def test_evaluators_take_matrices_through_check_matrix():
     for call in calls:
         with pytest.raises(ValueError, match="non-finite"):
             call()
+
+
+def online_discg_loop(vs, us, samples, rng):
+    """Reference: the round-by-round recursion acc += v_t g_t over the same
+    blocks, substreams and g = us @ normals as online_discG."""
+    m, big_t = vs.shape
+    sizes = [MC_BLOCK] * (samples // MC_BLOCK) + [samples % MC_BLOCK] * bool(samples % MC_BLOCK)
+    sums = np.zeros(big_t)
+    sqs = np.zeros(big_t)
+    for k, size in enumerate(sizes):
+        g = us @ rng.substream(k).generator().standard_normal((us.shape[1], size))
+        acc = np.zeros((m, size))
+        for t in range(big_t):
+            acc += np.outer(vs[:, t], g[t])
+            cur = np.abs(acc).max(axis=0, initial=0.0)
+            sums[t] += cur.sum()
+            sqs[t] += cur @ cur
+    means = sums / samples
+    t_star = int(np.argmax(means))
+    mean = float(means[t_star])
+    var = (sqs[t_star] - samples * mean * mean) / (samples - 1)
+    return mean, math.sqrt(max(var, 0.0) / samples)
+
+
+@pytest.mark.parametrize(
+    "m, big_t, r, samples",
+    [
+        (16, 128, 11, 1000),  # banaszczyk-small
+        (5, 1, 3, 700),  # T below one round block
+        (5, 3, 3, 700),
+        (5, 13, 3, 700),  # a partial last round block
+        (1, 9, 2, 700),
+        (0, 6, 2, 700),
+        (4, 10, 3, MC_BLOCK + 5),  # two Monte Carlo blocks
+        (16, 9, 4, 2 * PREFIX_BYTES // (8 * PREFIX_ROUNDS * 16) + 7),  # three sample chunks
+        (2048, 6, 3, 2 * 256 + 7),  # three chunks at the 256-column floor
+    ],
+)
+def test_online_discg_matches_the_round_by_round_recursion(m, big_t, r, samples):
+    vs = unit_columns(m, big_t, RngHandle(70)) if m else np.zeros((0, big_t))
+    us = unit_rows(big_t, r, 71)
+    est = online_discG(vs, us, samples, RngHandle(72))
+    if m == 0:
+        assert est.mean == 0.0 and est.std_error == 0.0
+        return
+    mean, std_error = online_discg_loop(vs, us, samples, RngHandle(72))
+    assert abs(est.mean - mean) <= 1e-12 * mean
+    assert abs(est.std_error - std_error) <= 1e-12 * std_error
+
+
+def test_online_discg_does_not_depend_on_the_thread_count(monkeypatch):
+    vs = unit_columns(6, 11, RngHandle(73))
+    us = unit_rows(11, 3, 74)
+    monkeypatch.setenv("DISCFORGE_THREADS", "1")
+    one = online_discG(vs, us, MC_BLOCK + 300, RngHandle(75))
+    monkeypatch.setenv("DISCFORGE_THREADS", "2")
+    two = online_discG(vs, us, MC_BLOCK + 300, RngHandle(75))
+    assert one == two
 
 
 def test_online_discg_is_monotone_max_over_prefixes():

@@ -4,7 +4,7 @@ from scipy.stats import norm
 
 from discforge.errors import TooFewSamplesError
 from discforge.rng import RngHandle
-from discforge.stats import cov_test, ks_test
+from discforge.stats import cov_test, holm_adjust, ks_test
 
 
 def test_ks_self_consistency_rate():
@@ -87,3 +87,15 @@ def test_cov_test_too_few():
 def test_cov_test_one_dimensional():
     xs = 2.0 * RngHandle(95).generator().standard_normal(5000)
     assert cov_test(xs, np.array([[4.0]])) <= 0.5
+
+
+def test_holm_adjust_on_a_fixed_family():
+    # sorted: 0.005, 0.01, 0.03, 0.04 scale by 4, 3, 2, 1 to 0.02, 0.03,
+    # 0.06, 0.04, whose running maximum is 0.02, 0.03, 0.06, 0.06; at 0.05
+    # Holm rejects the two smallest and stops at 0.03 > 0.05 / 2
+    adjusted = holm_adjust([0.01, 0.04, 0.03, 0.005])
+    assert adjusted == pytest.approx([0.03, 0.06, 0.06, 0.02], abs=1e-15)
+    assert [p < 0.05 for p in adjusted] == [True, False, False, True]
+    assert holm_adjust([0.5, 0.9, 0.2]) == pytest.approx([1.0, 1.0, 0.6], abs=1e-15)
+    assert holm_adjust([0.3, 0.3]) == pytest.approx([0.6, 0.6], abs=1e-15)
+    assert holm_adjust([0.004]) == [0.004]
