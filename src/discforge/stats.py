@@ -2,9 +2,10 @@
 one-sample Kolmogorov-Smirnov test, an entrywise empirical-covariance
 deviation, and Holm's step-down adjustment of a family of p-values.
 
-Both return numbers only. A caller gates them through ``report.verdict``
-(a p-value against a level, a deviation against a tolerance), which is
-the one place a number becomes pass or fail.
+All three return numbers only. A caller gates them through
+``report.verdict`` (a p-value or an adjusted p-value against a level, a
+deviation against a tolerance), which is the one place a number becomes
+pass or fail.
 
 The KS p-value comes from ``scipy.special.kolmogorov``, imported on first
 use so that importing this module loads no scipy.
