@@ -22,7 +22,7 @@ from .errors import (
     NotUnitError,
     TooLargeError,
 )
-from .linalg import check_matrix, psd_cholesky
+from .linalg import check_matrix, psd_cholesky, slice_plan
 from .parallel import map_trials
 from .rng import RngHandle
 
@@ -46,6 +46,9 @@ BRUTE_FORCE_MAX_N = 26
 MC_BLOCK = 8192
 PREFIX_ROUNDS = 4
 PREFIX_BYTES = 1 << 20
+# random_signing_baseline turns its sign bits into +-1 floats in column
+# slices of about this many bytes, so no n x size float matrix exists.
+SIGN_BYTES = 1 << 20
 UNIT_ATOL = 1e-9
 
 
@@ -221,10 +224,12 @@ def online_discG(
     blocks of PREFIX_ROUNDS (4) rounds: one product of the round block's
     V, stacked 4 times with the columns of later rounds masked, with those
     rows of g gives all 4 prefix increments, which are added to the
-    running sum. The samples go through in column chunks of
-    max(256, PREFIX_BYTES // (8 * 4 * m)) so that product's output stays
-    in cache. The draws are those of the round-by-round recursion
-    acc += v_t g_t, and the estimate agrees with it to rounding.
+    running sum. The (4m x 4) stack is built for each round block as it is
+    reached, so no 4m x T copy of the stream is made. The samples go
+    through in column chunks of max(256, PREFIX_BYTES // (8 * 4 * m)) so
+    that product's output stays in cache. The draws are those of the
+    round-by-round recursion acc += v_t g_t, and the estimate agrees with
+    it to rounding.
     """
     _check_sampling(samples, rng)
     vs = check_matrix(vs)
@@ -237,29 +242,27 @@ def online_discG(
     if big_t == 0 or m == 0:
         return McEstimate(0.0, 0.0, samples, rng)
     b = PREFIX_ROUNDS
-    n_blocks = -(-big_t // b)
-    # stacks[k] holds b slabs of m rows: slab j is round block k's V with the
-    # columns of its rounds after j zeroed, so stacks[k] @ g[rows] gives the
-    # increments of all b prefixes; the zero pad past round T is never read
-    padded = np.zeros((m, n_blocks * b))
-    padded[:, :big_t] = vs
+    # slab j of a round block's stack is the block's V with the columns of
+    # its rounds after j zeroed, so stack @ g[rows] gives the increments of
+    # all b prefixes
     mask = np.tri(b, dtype=bool)[:, None]
-    stacks = padded.reshape(m, n_blocks, b).transpose(1, 0, 2)[:, None] * mask
-    stacks = stacks.reshape(n_blocks, b * m, b)
     chunk = max(256, PREFIX_BYTES // (8 * b * m))
 
     def block(gen: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
         g = us @ gen.standard_normal((us.shape[1], size))
         part_sums = np.zeros(big_t)
         part_sqs = np.zeros(big_t)
+        stack = np.empty((b, m, b))
         for c0 in range(0, size, chunk):
             cols = min(chunk, size - c0)
             acc = np.zeros((m, cols))
             buf = np.empty((b * m, cols))
-            for k, t0 in enumerate(range(0, big_t, b)):
+            for t0 in range(0, big_t, b):
                 nb = min(b, big_t - t0)
+                slabs = stack[:nb, :, :nb]
+                np.multiply(vs[:, t0 : t0 + nb], mask[:nb, :, :nb], out=slabs)
                 pre = buf[: nb * m]
-                np.matmul(stacks[k, : nb * m, :nb], g[t0 : t0 + nb, c0 : c0 + cols], out=pre)
+                np.matmul(slabs.reshape(nb * m, nb), g[t0 : t0 + nb, c0 : c0 + cols], out=pre)
                 pre = pre.reshape(nb, m, cols)
                 pre += acc
                 acc[...] = pre[-1]
@@ -350,15 +353,27 @@ def triangle_rank2(
 
 
 def random_signing_baseline(a: np.ndarray, trials: int, rng: RngHandle) -> McEstimate:
-    """Monte Carlo mean of ||A sigma||_inf over uniform random signings."""
+    """Monte Carlo mean of ||A sigma||_inf over uniform random signings.
+
+    Each Monte Carlo block draws its n x size sign bits at once and turns
+    them into +-1 floats and products with A in column slices of about
+    SIGN_BYTES of floats (linalg.slice_plan), so only one slice of floats
+    exists at a time.
+    """
     _check_sampling(trials, rng)
     a = check_matrix(a)
     n = a.shape[1]
 
     def block(gen: np.random.Generator, size: int) -> np.ndarray:
-        signs = gen.integers(0, 2, size=(n, size), dtype=bool).astype(float)
-        signs *= -2.0
-        signs += 1.0
-        return np.abs(a @ signs).max(axis=0, initial=0.0)
+        bits = gen.integers(0, 2, size=(n, size), dtype=bool)
+        plan = slice_plan(size, SIGN_BYTES // (8 * max(n, 1)))
+        signs = np.empty((n, max(cols.stop - cols.start for cols in plan)))
+        vals = np.empty(size)
+        for cols in plan:
+            part = signs[:, : cols.stop - cols.start]
+            np.multiply(bits[:, cols], -2.0, out=part)
+            part += 1.0
+            np.abs(a @ part).max(axis=0, initial=0.0, out=vals[cols])
+        return vals
 
     return _estimate(np.concatenate(_map_blocks(block, rng, trials)), rng)

@@ -25,6 +25,7 @@ __all__ = [
     "top_eigvec",
     "read_matrix",
     "write_matrix",
+    "slice_plan",
 ]
 
 # Relative pivot tolerance deciding rank in the semidefinite Cholesky.
@@ -34,6 +35,9 @@ SYM_RTOL = 1e-12
 EIG_RTOL = 1e-9
 # Unit-diagonal slack for correlation matrices.
 DIAG_ATOL = 1e-10
+# check_symmetric compares the matrix with its transpose in panels of this
+# many rows, so no n x n temporary is made.
+SYM_PANEL = 64
 
 
 def check_matrix(a: np.ndarray) -> np.ndarray:
@@ -52,9 +56,14 @@ def check_symmetric(s: np.ndarray) -> np.ndarray:
     if n != m:
         raise DimMismatchError(f"expected a square matrix, got {n}x{m}")
     scale = max(float(s.max(initial=0.0)), -float(s.min(initial=0.0)), 1.0)
-    gap = s - s.T
-    np.abs(gap, out=gap)
-    if float(gap.max(initial=0.0)) > SYM_RTOL * scale:
+    # panel i holds |s[p, q] - s[q, p]| for its rows p and every q >= i; an
+    # entry left of the panel was measured, transposed, by an earlier one
+    worst = 0.0
+    for i in range(0, n, SYM_PANEL):
+        gap = s[i : i + SYM_PANEL, i:] - s[i:, i : i + SYM_PANEL].T
+        np.abs(gap, out=gap)
+        worst = max(worst, float(gap.max(initial=0.0)))
+    if worst > SYM_RTOL * scale:
         raise NotPsdError("matrix is not symmetric")
     return s
 
@@ -158,12 +167,36 @@ def top_eigvec(
     raise NoConvergenceError(f"power iteration did not converge in {max_iter} sweeps")
 
 
+def slice_plan(total: int, width: int) -> list[slice]:
+    """Consecutive slices of range(total) for a product taken slice by
+    slice, each of width rounded down to a multiple of 8 (at least 8)
+    items except the last.
+
+    On OpenBLAS, products over slices of multiples of 8 rounded each entry
+    as the product of the whole did, except at times in the last slice's
+    final total % 8 items or where a slice was small enough for its
+    small-matrix kernel. A remainder of one is joined to the slice before
+    it, since numpy hands a product with one row or column to gemv.
+    """
+    width = max(8, width // 8 * 8)
+    starts = list(range(0, total, width))
+    if len(starts) > 1 and total - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [total])]
+
+
 def write_matrix(path: str | Path, a: np.ndarray) -> None:
-    """Write the shared text format: 'm n' header, then one row per line."""
+    """Write the shared text format: 'm n' header, then one row per line.
+
+    Rows are written as they are formatted, so the text of the whole
+    matrix is never held in memory.
+    """
     a = check_matrix(a)
     m, n = a.shape
-    lines = [f"{m} {n}", *(" ".join(map(repr, row)) for row in a.tolist())]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{m} {n}\n")
+        for row in a:
+            fh.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
 def read_matrix(path: str | Path) -> np.ndarray:

@@ -29,7 +29,7 @@ from .chilaw import sigma_star
 from .errors import DimMismatchError, InconsistentStreamError, NormTooLargeError
 from .evals import coupling_from_units
 from .kernel import KernelParams, kernel_step
-from .linalg import check_correlation, psd_cholesky
+from .linalg import check_correlation, psd_cholesky, slice_plan
 from .rng import RngHandle
 
 __all__ = [
@@ -56,6 +56,9 @@ RESYNC_BLOCKS = 4
 # whole column block of a C-order matrix at once was 1.4x (8 columns) to 3x
 # (64 columns) slower at m = 10^4, as it misses the cache row after row.
 COPY_ROWS = 256
+# walk_run adds each block's V U to W and Delta in row slices of about this
+# many bytes of V U, so no m x r product buffer exists beside them.
+STEP_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -99,8 +102,8 @@ class WalkRun:
 def walk_init(config: WalkConfig) -> WalkState:
     """Accumulator with i.i.d. N(0, 1/(4(r-1))) entries at round 0."""
     gen = config.seed.generator()
-    sd = sigma_star(config.r)
-    w = sd * gen.standard_normal((config.m, config.r))
+    w = gen.standard_normal((config.m, config.r))
+    w *= sigma_star(config.r)
     return WalkState(w=w, t=0, rng=gen)
 
 
@@ -164,10 +167,12 @@ def walk_run(config: WalkConfig, vs: np.ndarray) -> WalkRun:
     are known, D = Delta U^T + V triu(U U^T, 1) holds Delta_{j-1} u_j for
     every round j, the squared row norms of the signed sum Delta advance
     round by round by v_j * (2 D[:, j] + v_j) (u_j is a unit vector), and
-    V U, formed once, is added to W and Delta. The squared norms are
-    recomputed from Delta every few blocks, so their drift stays bounded.
-    W, V and Delta sit side by side in one buffer, so [Z G] is one gemm
-    and D another (numpy takes V^T V alone through syrk, 3x slower).
+    V U is added to W and Delta, formed in row slices of about STEP_BYTES
+    (linalg.slice_plan) so no m x r product buffer exists. The squared
+    norms are recomputed from Delta every few blocks, so their drift stays
+    bounded. W, V and Delta sit side by side in one buffer, so [Z G] is
+    one gemm and D another (numpy takes V^T V alone through syrk, 3x
+    slower).
 
     Every BLAS product has the same shapes whatever T is, and a round's
     outputs depend on no later column: us and row_norms of a prefix of vs
@@ -190,7 +195,8 @@ def walk_run(config: WalkConfig, vs: np.ndarray) -> WalkRun:
     sq = np.zeros(m)  # squared row norms of delta
     ublk = np.zeros((b, r))
     inc = np.empty((m, b), order="F")  # per-round increments of sq
-    step = np.empty((m, r), order="F")  # the block's V U
+    rows = slice_plan(m, STEP_BYTES // (8 * r))
+    step = np.empty((max(sl.stop - sl.start for sl in rows), r), order="F")  # V U by rows
     coef = np.empty((b + r, b))  # [2 triu(U U^T, 1); 2 U^T], so [V Delta] coef = 2 D
     upper2 = np.triu(np.full((b, b), 2.0), 1)
     us = np.empty((big_t, r))
@@ -218,9 +224,11 @@ def walk_run(config: WalkConfig, vs: np.ndarray) -> WalkRun:
         for j in range(width):
             sq += inc[:, j]
             row_norms[start + j] = math.sqrt(float(sq.max(initial=0.0)))
-        np.matmul(vblk, ublk, out=step)
-        w += step
-        delta += step
+        for sl in rows:
+            part = step[: sl.stop - sl.start]
+            np.matmul(vblk[sl], ublk, out=part)
+            w[sl] += part
+            delta[sl] += part
         if k % RESYNC_BLOCKS == RESYNC_BLOCKS - 1:
             np.einsum("ij,ij->i", delta, delta, out=sq)
     return WalkRun(us=us, row_norms=row_norms, running_max=np.maximum.accumulate(row_norms))

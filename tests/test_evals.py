@@ -14,6 +14,7 @@ from discforge.evals import (
     MC_BLOCK,
     PREFIX_BYTES,
     PREFIX_ROUNDS,
+    SIGN_BYTES,
     coupling_from_signing,
     coupling_from_units,
     discG_mc,
@@ -289,6 +290,16 @@ def test_online_discg_matches_the_round_by_round_recursion(m, big_t, r, samples)
     assert abs(est.std_error - std_error) <= 1e-12 * std_error
 
 
+def test_online_discg_builds_one_round_block_stack_at_a_time(traced_peak):
+    # at m = 256, T = 1000 and 64 samples a 4 m x T stack of masked V would
+    # be the largest array of a call (8.2 MB against 0.5 MB for g)
+    m, big_t, samples = 256, 1000, 64
+    vs = unit_columns(m, big_t, RngHandle(83))
+    us = unit_rows(big_t, 4, 84)
+    peak = traced_peak(lambda: online_discG(vs, us, samples, RngHandle(85)))
+    assert peak <= 8 * PREFIX_ROUNDS * m * big_t // 2
+
+
 def test_online_discg_does_not_depend_on_the_thread_count(monkeypatch):
     vs = unit_columns(6, 11, RngHandle(73))
     us = unit_rows(11, 3, 74)
@@ -406,6 +417,26 @@ def test_random_signing_baseline_pins_block_zero_draw():
     vals = np.abs(a @ (1.0 - 2.0 * bits)).max(axis=0)
     assert est.mean == vals.mean()
     assert est.std_error == vals.std(ddof=1) / math.sqrt(samples)
+    # a block in several column slices ending in a partial one: integer
+    # entries make every product exact, so the slices cannot hide in rounding
+    n = 2000
+    width = SIGN_BYTES // (8 * n) // 8 * 8
+    samples = 5 * width + 3
+    a = RngHandle(79).generator().integers(-9, 10, size=(4, n)).astype(float)
+    est = random_signing_baseline(a, samples, RngHandle(78))
+    bits = RngHandle(78).substream(0).generator().integers(0, 2, size=(n, samples), dtype=bool)
+    vals = np.abs(a @ (1.0 - 2.0 * bits)).max(axis=0)
+    assert est.mean == vals.mean()
+    assert est.std_error == vals.std(ddof=1) / math.sqrt(samples)
+
+
+def test_random_signing_baseline_holds_one_slice_of_floats(traced_peak):
+    # the rounding-spencer shape: the bits of the block, one slice of +-1
+    # floats and small per-slice products, never the n x size float matrix
+    m, n, samples = 80, 502, 2000
+    a = RngHandle(81).generator().standard_normal((m, n))
+    peak = traced_peak(lambda: random_signing_baseline(a, samples, RngHandle(82)))
+    assert peak <= n * samples + 2 * SIGN_BYTES
 
 
 def test_random_signing_baseline_matches_enumerated_mean():

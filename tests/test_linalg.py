@@ -6,6 +6,7 @@ import pytest
 from discforge.errors import NoConvergenceError, NotPsdError
 from discforge.linalg import (
     PIVOT_RTOL,
+    SYM_PANEL,
     SYM_RTOL,
     check_correlation,
     check_psd,
@@ -13,6 +14,7 @@ from discforge.linalg import (
     cholesky_rank,
     psd_cholesky,
     read_matrix,
+    slice_plan,
     top_eigvec,
     write_matrix,
 )
@@ -147,6 +149,42 @@ def test_check_symmetric_tolerance_boundary_leaves_input_unchanged():
         assert np.array_equal(s, before)
 
 
+@pytest.mark.parametrize("n", [SYM_PANEL - 1, SYM_PANEL, 2 * SYM_PANEL + 5])
+def test_check_symmetric_panels_decide_as_the_whole_gap(n):
+    # below, at and past the panel size: a pair planted on either side of
+    # the diagonal, in any panel, is judged as |s - s^T| of the whole would
+    gen = RngHandle(31).generator()
+    x = gen.standard_normal((n, n))
+    base = x + x.T
+    scale = max(float(np.abs(base).max()), 1.0)
+    for i, j in [(0, n - 1), (n - 1, 0), (n // 2, n // 3), (n - 2, n - 1), (1, 0)]:
+        for factor in (0.5, 2.0):
+            s = base.copy()
+            s[i, j] += factor * SYM_RTOL * scale
+            whole = float(np.abs(s - s.T).max()) > SYM_RTOL * max(float(np.abs(s).max()), 1.0)
+            assert whole == (factor == 2.0)
+            if whole:
+                with pytest.raises(NotPsdError, match="not symmetric"):
+                    check_symmetric(s)
+            else:
+                assert check_symmetric(s) is s
+
+
+def test_slice_plan():
+    def lengths(total, width):
+        plan = slice_plan(total, width)
+        assert [sl.start for sl in plan] == [0, *(sl.stop for sl in plan)][: len(plan)]
+        assert sum(sl.stop - sl.start for sl in plan) == total
+        return [sl.stop - sl.start for sl in plan]
+
+    assert lengths(0, 16) == []
+    assert lengths(1, 16) == [1]
+    assert lengths(20, 16) == [16, 4]
+    assert lengths(17, 16) == [17]  # a remainder of one joins its neighbour
+    assert lengths(33, 20) == [16, 17]  # the width is rounded down to 8s
+    assert lengths(10, 3) == [8, 2]  # and is at least 8
+
+
 def test_top_eigvec_diagonal():
     v = top_eigvec(np.diag([3.0, 1.0]), np.ones(2))
     assert abs(abs(v[0]) - 1.0) < 1e-8 and abs(v[1]) < 1e-8
@@ -205,6 +243,21 @@ def test_matrix_file_round_trip(tmp_path):
         b = read_matrix(path)
         assert b.shape == shape
         assert np.array_equal(a, b)
+
+
+def test_write_matrix_text_and_memory(tmp_path, traced_peak):
+    # the text is that of joining every formatted row at once, but only a
+    # row at a time is held: 4096 x 384 is about 31 MB of text
+    gen = RngHandle(12).generator()
+    path = tmp_path / "a.mat"
+    for shape in ((3, 5), (3, 0), (0, 4), (1, 1)):
+        a = gen.standard_normal(shape) * math.pi
+        write_matrix(path, a)
+        lines = [f"{shape[0]} {shape[1]}", *(" ".join(map(repr, row)) for row in a.tolist())]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    a = gen.standard_normal((4096, 384))
+    assert traced_peak(lambda: write_matrix(path, a)) <= 4_000_000
+    assert path.stat().st_size > 30_000_000
 
 
 def test_matrix_file_errors(tmp_path):

@@ -163,6 +163,35 @@ def test_online_prefix_replay():
             assert np.array_equal(full.row_norms[:t], prefix.row_norms)
 
 
+def test_walk_run_row_slices_agree_with_one_product(monkeypatch):
+    # rows of 8 at m = 41: four slices and a last one that takes the
+    # remainder of one row; the outputs agree with the one-slice run to
+    # rounding and a prefix still replays to the bit
+    m, r, big_t = 41, 3, 30
+    config = WalkConfig(m=m, r=r, seed=RngHandle(23))
+    vs = unit_columns(m, big_t, RngHandle(24))
+    whole = walk_run(config, vs)
+    monkeypatch.setattr(walk, "STEP_BYTES", 8 * 8 * r)
+    sliced = walk_run(config, vs)
+    assert np.abs(sliced.us - whole.us).max() < 1e-12
+    assert np.abs(sliced.row_norms - whole.row_norms).max() < 1e-12
+    for t in (5, 17):
+        prefix = walk_run(config, vs[:, :t])
+        assert np.array_equal(sliced.us[:t], prefix.us)
+        assert np.array_equal(sliced.row_norms[:t], prefix.row_norms)
+
+
+def test_walk_run_holds_no_m_by_r_product_buffer(traced_peak):
+    # copying W_0 into the run buffer (W, V and Delta side by side) holds
+    # m (3r + b) floats at once, and that floor is the peak: the block's
+    # V U lives in row slices of STEP_BYTES, not in an m x r buffer
+    m, r, big_t = 8192, 64, 16
+    b = min(max(r, walk.BLOCK_MIN), walk.BLOCK_MAX)
+    vs = unit_columns(m, big_t, RngHandle(25))
+    peak = traced_peak(lambda: walk_run(WalkConfig(m=m, r=r, seed=RngHandle(26)), vs))
+    assert peak <= 8 * m * (3 * r + b) + 2 * walk.STEP_BYTES
+
+
 def test_row_norms_do_not_drift_on_long_streams():
     m, r, big_t = 50, 8, 5000
     vs = unit_columns(m, big_t, RngHandle(19))
