@@ -187,7 +187,8 @@ def discG_mc(
     Samples in the coupling's rank k: with L_k the k nonzero columns of
     L = psd_cholesky(Sigma), g = L_k xi for xi ~ N(0, I_k), so A L_k is
     formed once and each sample costs k normals and one product with it.
-    A zero coupling (k = 0) estimates exactly 0.
+    A zero coupling (k = 0) estimates exactly 0. The n x n factor is
+    dropped once A L_k is formed, so it is not held while sampling.
     """
     _check_sampling(samples, rng)
     a = check_matrix(a)
@@ -199,6 +200,7 @@ def discG_mc(
         )
     low = psd_cholesky(sigma)
     ak = a @ low[:, np.diag(low) > 0.0]
+    del low  # free the n x n factor before the sampling temporaries
     k = ak.shape[1]
 
     def block(gen: np.random.Generator, size: int) -> np.ndarray:
@@ -355,17 +357,23 @@ def triangle_rank2(
 def random_signing_baseline(a: np.ndarray, trials: int, rng: RngHandle) -> McEstimate:
     """Monte Carlo mean of ||A sigma||_inf over uniform random signings.
 
-    Each Monte Carlo block draws its n x size sign bits at once and turns
-    them into +-1 floats and products with A in column slices of about
-    SIGN_BYTES of floats (linalg.slice_plan), so only one slice of floats
-    exists at a time.
+    Each Monte Carlo block draws its n x size sign bits at once, 32 to a
+    uint32 word, lowest bit first; these are the bits and the generator
+    state of integers(0, 2, (n, size), dtype=bool), which takes one 32-bit
+    draw per 32 bits in the same order. It turns them into +-1 floats and
+    products with A in column slices of about SIGN_BYTES of floats
+    (linalg.slice_plan), so only one slice of floats exists at a time.
     """
     _check_sampling(trials, rng)
     a = check_matrix(a)
     n = a.shape[1]
 
     def block(gen: np.random.Generator, size: int) -> np.ndarray:
-        bits = gen.integers(0, 2, size=(n, size), dtype=bool)
+        words = gen.integers(0, 1 << 32, size=-(-n * size // 32), dtype=np.uint32)
+        bits = np.unpackbits(
+            words.astype("<u4", copy=False).view(np.uint8), count=n * size, bitorder="little"
+        ).reshape(n, size)
+        del words
         plan = slice_plan(size, SIGN_BYTES // (8 * max(n, 1)))
         signs = np.empty((n, max(cols.stop - cols.start for cols in plan)))
         vals = np.empty(size)

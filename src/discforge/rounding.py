@@ -11,6 +11,7 @@ large. ``rounding_experiment`` measures all of this on sampled instances.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -75,22 +76,28 @@ class PlantedInstance:
     sigma: np.ndarray
 
 
-def _trig_vectors(n: int) -> tuple[np.ndarray, np.ndarray]:
-    j = np.arange(1, n + 1)
-    angle = 2.0 * math.pi * j / n
-    return np.cos(angle), np.sin(angle)
+@functools.lru_cache(maxsize=1)
+def _planted_plane(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The trig vectors c, s and the coupling c cT + s sT of size n, read-only
+    and shared by every instance of that size."""
+    angle = 2.0 * math.pi * np.arange(1, n + 1) / n
+    c, s = np.cos(angle), np.sin(angle)
+    sigma = np.outer(c, c)
+    sigma += np.outer(s, s)
+    for arr in (c, s, sigma):
+        arr.flags.writeable = False
+    return c, s, sigma
 
 
 def make_planted(m: int, n: int, gen: np.random.Generator) -> PlantedInstance:
     """Sample an m x n matrix with i.i.d. rows isotropic on the orthogonal
-    complement of the trig plane."""
+    complement of the trig plane. The plane's c, s and sigma are read-only
+    arrays shared by every instance of size n."""
     if n % 4 != 2 or n < 6:
         raise BadSizeError(f"planted instances need n = 2 (mod 4), n >= 6; got {n}")
-    c, s = _trig_vectors(n)
+    c, s, sigma = _planted_plane(n)
     g = gen.standard_normal((m, n))
     a = g - (2.0 / n) * np.outer(g @ c, c) - (2.0 / n) * np.outer(g @ s, s)
-    sigma = np.outer(c, c)
-    sigma += np.outer(s, s)
     return PlantedInstance(m=m, n=n, a=a, c=c, s=s, sigma=sigma)
 
 
@@ -174,17 +181,23 @@ SETTINGS = {
 
 
 def _trial(
-    setting: Setting, n: int, rng: RngHandle, mc_samples: int, baseline_samples: int
+    setting: Setting,
+    n: int,
+    rng: RngHandle,
+    sig_pca: np.ndarray,
+    pca_orbit: bool,
+    mc_samples: int,
+    baseline_samples: int,
 ) -> dict:
     """One trial: the instance and the GW draw come from rng's own stream,
-    the two Monte Carlo estimates from its substreams 1 and 2."""
+    the two Monte Carlo estimates from its substreams 1 and 2. The PCA
+    signing and its orbit membership depend on n alone and come in from
+    the experiment."""
     m = setting.rows(n)
     gen = rng.generator()
     inst = make_planted(m, n, gen)
     a_scaled = setting.normalize(inst.a, n)
-    w = half_ones(n)
     sig_gw = gw_round(inst.sigma, gen)
-    sig_pca = pca_round(inst.sigma, inst.c + 1e-3 * inst.s)
     baseline = random_signing_baseline(a_scaled, baseline_samples, rng.substream(1))
     planted = discG_mc(a_scaled, inst.sigma, mc_samples, rng.substream(2))
     return {
@@ -192,8 +205,8 @@ def _trial(
         "feasible": bool(setting.feasible(a_scaled)),
         "gw_linf": float(np.abs(a_scaled @ sig_gw).max()),
         "pca_linf": float(np.abs(a_scaled @ sig_pca).max()),
-        "gw_orbit": shift_orbit_index(sig_gw, w) is not None,
-        "pca_orbit": shift_orbit_index(sig_pca, w) is not None,
+        "gw_orbit": shift_orbit_index(sig_gw, half_ones(n)) is not None,
+        "pca_orbit": pca_orbit,
         "random_baseline": baseline.mean,
         "random_baseline_se": baseline.std_error,
         "planted_discG": planted.mean,
@@ -222,8 +235,13 @@ def rounding_experiment(
         raise BadSizeError(f"need n = 2 (mod 4), n >= 6; got {n}")
     check_trials(trials)
     rules = SETTINGS[setting]
+    c, s, sigma = _planted_plane(n)
+    sig_pca = pca_round(sigma, c + 1e-3 * s)
+    pca_orbit = shift_orbit_index(sig_pca, half_ones(n)) is not None
     metrics = map_trials(
-        lambda k: _trial(rules, n, rng.substream(k), mc_samples, baseline_samples),
+        lambda k: _trial(
+            rules, n, rng.substream(k), sig_pca, pca_orbit, mc_samples, baseline_samples
+        ),
         range(trials),
     )
     threshold = rules.factor * rules.rate(n)

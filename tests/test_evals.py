@@ -143,6 +143,15 @@ def test_discg_planted_cancellation():
     assert est.mean <= 1e-6
 
 
+def test_discg_frees_the_factor_before_sampling(traced_peak):
+    # the rounding-spencer shape: the n x n factor and the m x samples
+    # sample products are never held at once
+    m, n, samples = 80, 502, 2000
+    inst = make_planted(m, n, RngHandle(94).generator())
+    peak = traced_peak(lambda: discG_mc(inst.a, inst.sigma, samples, RngHandle(95)))
+    assert peak <= 8 * n * n + 8 * m * samples
+
+
 def test_discg_rank_one_coupling_identity():
     gen = RngHandle(34).generator()
     a = gen.standard_normal((3, 6))
@@ -426,6 +435,17 @@ def test_random_signing_baseline_pins_block_zero_draw():
     est = random_signing_baseline(a, samples, RngHandle(78))
     bits = RngHandle(78).substream(0).generator().integers(0, 2, size=(n, samples), dtype=bool)
     vals = np.abs(a @ (1.0 - 2.0 * bits)).max(axis=0)
+    assert est.mean == vals.mean()
+    assert est.std_error == vals.std(ddof=1) / math.sqrt(samples)
+    # two Monte Carlo blocks: block k is the bool draw of substream k
+    n, samples = 3, MC_BLOCK + 5
+    a = RngHandle(77).generator().standard_normal((3, n))
+    est = random_signing_baseline(a, samples, RngHandle(78))
+    vals = np.concatenate([
+        np.abs(a @ (1.0 - 2.0 * RngHandle(78).substream(k).generator().integers(
+            0, 2, size=(n, size), dtype=bool))).max(axis=0)
+        for k, size in enumerate((MC_BLOCK, 5))
+    ])
     assert est.mean == vals.mean()
     assert est.std_error == vals.std(ddof=1) / math.sqrt(samples)
 

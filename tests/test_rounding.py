@@ -9,6 +9,7 @@ from scipy.stats import ks_2samp
 from discforge.errors import BadSizeError
 from discforge.rng import RngHandle
 from discforge.rounding import (
+    SETTINGS,
     gw_round,
     half_ones,
     komlos_rows,
@@ -28,6 +29,31 @@ def test_make_planted_invariants():
     assert np.abs(inst.a @ inst.c).max() < 1e-8
     assert np.abs(inst.a @ inst.s).max() < 1e-8
     assert np.abs(np.diag(inst.sigma) - 1.0).max() < 1e-10
+
+
+def test_make_planted_shares_one_read_only_plane_per_n():
+    n = 102
+    first = make_planted(4, n, RngHandle(90).generator())
+    again = make_planted(7, n, RngHandle(91).generator())
+    angle = 2.0 * math.pi * np.arange(1, n + 1) / n
+    assert first.c.tobytes() == np.cos(angle).tobytes()
+    assert first.s.tobytes() == np.sin(angle).tobytes()
+    outer = np.outer(first.c, first.c) + np.outer(first.s, first.s)
+    assert first.sigma.tobytes() == outer.tobytes()
+    for name in ("c", "s", "sigma"):
+        assert getattr(again, name) is getattr(first, name)
+        assert not getattr(first, name).flags.writeable
+    with pytest.raises(ValueError):
+        first.sigma[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        first.c[0] = 0.0
+    # another size gets its own plane, and the first size comes back intact
+    other = make_planted(3, 22, RngHandle(92).generator())
+    assert other.a.shape == (3, 22) and other.c.shape == other.s.shape == (22,)
+    assert other.sigma.shape == (22, 22)
+    back = make_planted(4, n, RngHandle(90).generator())
+    assert back.sigma.tobytes() == outer.tobytes()
+    assert np.array_equal(back.a, first.a)
 
 
 def test_make_planted_rejects_bad_sizes():
@@ -179,6 +205,21 @@ def test_rounding_experiment_small():
         rounding_experiment("spencer", 100, 1, RngHandle(0))
     with pytest.raises(ValueError, match="trial count must be at least 1, got 0$"):
         rounding_experiment("spencer", 102, 0, RngHandle(0))
+
+
+@pytest.mark.parametrize(("setting", "n", "trials"), [("komlos", 102, 4), ("spencer", 62, 3)])
+def test_pca_signing_computed_once_matches_each_trial(setting, n, trials):
+    # the experiment rounds the planted coupling by PCA once; each trial's
+    # fields equal a signing built from that trial's own instance
+    rng = RngHandle(93)
+    report = rounding_experiment(setting, n, trials, rng)
+    rules = SETTINGS[setting]
+    for k, got in enumerate(report.metrics):
+        inst = make_planted(rules.rows(n), n, rng.substream(k).generator())
+        sig_pca = pca_round(inst.sigma, inst.c + 1e-3 * inst.s)
+        a_scaled = rules.normalize(inst.a, n)
+        assert got["pca_linf"] == float(np.abs(a_scaled @ sig_pca).max())
+        assert got["pca_orbit"] == (shift_orbit_index(sig_pca, half_ones(n)) is not None)
 
 
 def test_calibration_tool_runs(capsys):
