@@ -228,10 +228,11 @@ def online_discG(
     rows of g gives all 4 prefix increments, which are added to the
     running sum. The (4m x 4) stack is built for each round block as it is
     reached, so no 4m x T copy of the stream is made. The samples go
-    through in column chunks of max(256, PREFIX_BYTES // (8 * 4 * m)) so
-    that product's output stays in cache. The draws are those of the
-    round-by-round recursion acc += v_t g_t, and the estimate agrees with
-    it to rounding.
+    through in column chunks of max(256, PREFIX_BYTES // (8 * 4 * m)), so
+    that product's 4m x cols output is PREFIX_BYTES (1 MiB) up to m = 128;
+    above it the 256-column floor makes it 8 m KiB (32 MiB at m = 4096).
+    The draws are those of the round-by-round recursion acc += v_t g_t,
+    and the estimate agrees with it to rounding.
     """
     _check_sampling(samples, rng)
     vs = check_matrix(vs)

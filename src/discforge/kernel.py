@@ -44,7 +44,7 @@ class KernelParams:
 
     def __post_init__(self) -> None:
         floor = sigma_star(self.r) ** 2  # raises RankTooSmallError for r < 2
-        if self.sigma2 < floor - 1e-12:
+        if not self.sigma2 >= floor - 1e-12:  # also true for nan
             raise BadVarianceError(
                 f"sigma2={self.sigma2} below the admissible floor {floor} for r={self.r}"
             )

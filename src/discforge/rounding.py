@@ -78,8 +78,10 @@ class PlantedInstance:
 
 @functools.lru_cache(maxsize=1)
 def _planted_plane(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The trig vectors c, s and the coupling c cT + s sT of size n, read-only
-    and shared by every instance of that size."""
+    """The trig vectors c, s and the coupling c cT + s sT of size n = 2
+    (mod 4), n >= 6, read-only and shared by every instance of that size."""
+    if n % 4 != 2 or n < 6:
+        raise BadSizeError(f"planted instances need n = 2 (mod 4), n >= 6; got {n}")
     angle = 2.0 * math.pi * np.arange(1, n + 1) / n
     c, s = np.cos(angle), np.sin(angle)
     sigma = np.outer(c, c)
@@ -93,8 +95,6 @@ def make_planted(m: int, n: int, gen: np.random.Generator) -> PlantedInstance:
     """Sample an m x n matrix with i.i.d. rows isotropic on the orthogonal
     complement of the trig plane. The plane's c, s and sigma are read-only
     arrays shared by every instance of size n."""
-    if n % 4 != 2 or n < 6:
-        raise BadSizeError(f"planted instances need n = 2 (mod 4), n >= 6; got {n}")
     c, s, sigma = _planted_plane(n)
     g = gen.standard_normal((m, n))
     a = g - (2.0 / n) * np.outer(g @ c, c) - (2.0 / n) * np.outer(g @ s, s)
@@ -231,11 +231,9 @@ def rounding_experiment(
     """
     if setting not in SETTINGS:
         raise ValueError(f"unknown setting {setting!r}")
-    if n % 4 != 2 or n < 6:
-        raise BadSizeError(f"need n = 2 (mod 4), n >= 6; got {n}")
+    c, s, sigma = _planted_plane(n)
     check_trials(trials)
     rules = SETTINGS[setting]
-    c, s, sigma = _planted_plane(n)
     sig_pca = pca_round(sigma, c + 1e-3 * s)
     pca_orbit = shift_orbit_index(sig_pca, half_ones(n)) is not None
     metrics = map_trials(

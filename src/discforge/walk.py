@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -107,39 +106,31 @@ def walk_init(config: WalkConfig) -> WalkState:
     return WalkState(w=w, t=0, rng=gen)
 
 
-def _advance(
-    v: np.ndarray,
-    t: int,
-    shape: tuple[int, int],
-    gen: np.random.Generator,
-    project: Callable[[], np.ndarray],
-    nsq: float | None = None,
-) -> np.ndarray:
-    """The unit vector emitted for v at round t; the one per-round rule of
-    walk_step and walk_run.
+def _check_norms(nsq: list[float], vs: np.ndarray, t0: int) -> None:
+    """Reject the first column of vs, round t0 onward, that is not finite
+    (ValueError) or longer than 1 (NormTooLargeError); nsq holds the
+    columns' squared norms."""
+    for j, q in enumerate(nsq):
+        norm = math.sqrt(q)
+        if not norm <= 1.0 + NORM_SLACK:  # also true for nan and inf
+            if not np.isfinite(vs[:, j]).all():
+                raise ValueError(f"v_{t0 + j} has non-finite entries")
+            raise NormTooLargeError(f"||v_{t0 + j}|| = {norm:.12g} exceeds 1")
 
-    shape is the accumulator's (m, r), project() returns W^T v for the
-    accumulator W before the round, and nsq is ||v||^2 when the caller
-    already has it. A zero vector contributes nothing to the accumulator,
-    so it is answered with the fixed unit vector e_1 without consuming
-    randomness.
+
+def _unit(z: np.ndarray, nsq: float, gen: np.random.Generator) -> np.ndarray:
+    """The unit vector emitted for a vector v with z = W^T v and ||v||^2 = nsq;
+    the one round rule of walk_step and walk_run.
+
+    A zero vector contributes nothing to the accumulator, so it is answered
+    with the fixed unit vector e_1 without consuming randomness.
     """
-    m, r = shape
-    if v.shape != (m,):
-        raise DimMismatchError(f"vector has shape {v.shape}, expected ({m},)")
-    if nsq is None:
-        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
-            nsq = float(v @ v)
-    norm = math.sqrt(nsq)
-    if not norm <= 1.0 + NORM_SLACK:  # also true for nan and inf
-        if not np.isfinite(v).all():
-            raise ValueError(f"v_{t} has non-finite entries")
-        raise NormTooLargeError(f"||v_{t}|| = {norm:.12g} exceeds 1")
+    r = z.shape[0]
     if nsq == 0.0:
         u = np.zeros(r)
         u[0] = 1.0
         return u
-    return kernel_step(KernelParams(r, sigma_star(r) ** 2 / nsq), project() / nsq, gen)
+    return kernel_step(KernelParams(r, sigma_star(r) ** 2 / nsq), z / nsq, gen)
 
 
 def walk_step(state: WalkState, v: np.ndarray) -> tuple[np.ndarray, WalkState]:
@@ -147,7 +138,12 @@ def walk_step(state: WalkState, v: np.ndarray) -> tuple[np.ndarray, WalkState]:
     successor state, whose accumulator is state.w updated in place."""
     v = np.asarray(v, dtype=float)
     w = state.w
-    u = _advance(v, state.t, w.shape, state.rng, lambda: w.T @ v)
+    if v.shape != w.shape[:1]:
+        raise DimMismatchError(f"vector has shape {v.shape}, expected ({w.shape[0]},)")
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        nsq = float(v @ v)
+    _check_norms([nsq], v[:, None], state.t)
+    u = _unit(w.T @ v, nsq, state.rng)
     w += v[:, None] * u
     return u, WalkState(w=w, t=state.t + 1, rng=state.rng)
 
@@ -161,7 +157,9 @@ def walk_run(config: WalkConfig, vs: np.ndarray) -> WalkRun:
     The rounds are evaluated in blocks of b = min(max(r, 8), 64) columns V,
     copied into an m x b buffer that a short final block leaves
     zero-padded. With the block's Gram matrix G = V^T V and Z = V^T W for
-    the accumulator W at the start of the block, round j projects onto
+    the accumulator W at the start of the block, the block's columns are
+    checked from the diagonal of G before its first round (a non-finite or
+    too long column raises, as in walk_step), and round j projects onto
     v_j as (Z[j] + G[j, :j] U[:j]) / G[j, j] and takes the same kernel
     step on the same draws as walk_step. Once the block's emitted rows U
     are known, D = Delta U^T + V triu(U U^T, 1) holds Delta_{j-1} u_j for
@@ -206,15 +204,14 @@ def walk_run(config: WalkConfig, vs: np.ndarray) -> WalkRun:
         for i in range(0, m, COPY_ROWS):
             vblk[i : i + COPY_ROWS, :width] = vs[i : i + COPY_ROWS, start : start + width]
         vblk[:, width:] = 0.0
-        # _advance rejects a column that is not finite or whose norm overflows
+        # _check_norms rejects a column that is not finite or whose norm overflows
         with np.errstate(over="ignore", invalid="ignore"):
             zg = vblk.T @ buf[:, : r + b]
         z, g = zg[:, :r], zg[:, r:]
+        nsq = g.diagonal()[:width].tolist()
+        _check_norms(nsq, vblk, start)
         for j in range(width):
-            ublk[j] = _advance(
-                vblk[:, j], start + j, (m, r), gen,
-                lambda: z[j] + g[j, :j] @ ublk[:j], nsq=float(g[j, j]),
-            )
+            ublk[j] = _unit(z[j] + g[j, :j] @ ublk[:j], nsq[j], gen)
         us[start : start + width] = ublk[:width]
         np.multiply(ublk @ ublk.T, upper2, out=coef[:b])
         np.multiply(ublk.T, 2.0, out=coef[b:])

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread unless the caller set another count: a multi-threaded
+# BLAS makes per-round timings (criterion 08) noisy enough to break their
+# fit. This runs before any test module imports numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import tracemalloc
 
 import pytest

@@ -29,6 +29,11 @@ def test_params_validation():
     KernelParams(2, 0.25 - 1e-13)  # inside the slack
     with pytest.raises(BadVarianceError):
         KernelParams(2, 0.2)
+    # a nan variance would never reflect; an infinite one is what the walk
+    # builds for a vector below ||v|| ~ 1e-155
+    with pytest.raises(BadVarianceError):
+        KernelParams(3, float("nan"))
+    KernelParams(3, math.inf)
     with pytest.raises(RankTooSmallError):
         KernelParams(1, 5.0)
 

@@ -82,6 +82,33 @@ def test_non_finite_input_is_rejected_before_the_kernel():
         walk_step(walk_init(config), np.full(3, 1e200))
 
 
+@pytest.mark.parametrize("bad", [3, walk.BLOCK_MIN + 2])
+def test_first_bad_column_of_a_block_is_named_by_its_round(bad):
+    # walk_run checks a whole block's columns before the block's first
+    # round: a too-long column at round `bad` (in the first block, or the
+    # second one, b = BLOCK_MIN at r <= 8) and a NaN column two rounds
+    # later raise for the first of them, as walk_step driven in order does
+    m, r = 5, 3
+    config = WalkConfig(m=m, r=r, seed=RngHandle(27))
+    vs = unit_columns(m, bad + 4, RngHandle(28))
+    vs[:, bad] *= 1.5
+    vs[0, bad + 2] = np.nan
+    message = rf"^\|\|v_{bad}\|\| = 1\.5 exceeds 1$"
+    with pytest.raises(NormTooLargeError, match=message):
+        walk_run(config, vs)
+    state = walk_init(config)
+    with pytest.raises(NormTooLargeError, match=message):
+        for t in range(vs.shape[1]):
+            _, state = walk_step(state, vs[:, t])
+    assert state.t == bad
+    # the rounds before the bad column still run, and are bitwise those of
+    # the same prefix followed by a valid column
+    prefix = walk_run(config, vs[:, :bad])
+    valid = walk_run(config, np.column_stack([vs[:, :bad], vs[:, bad] / 1.5]))
+    assert np.array_equal(prefix.us, valid.us[:bad])
+    assert np.array_equal(prefix.row_norms, valid.row_norms[:bad])
+
+
 def test_outputs_are_unit_and_telescoping():
     m, r, big_t = 5, 3, 60
     config = WalkConfig(m=m, r=r, seed=RngHandle(3))
