@@ -24,7 +24,6 @@ from .kernel import (
     kernel_step,
     kernel_step_batch,
     run_chain,
-    slice_feasible,
     slice_sample,
 )
 from .linalg import (

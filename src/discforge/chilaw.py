@@ -29,8 +29,10 @@ __all__ = [
     "ratio_condition_holds",
 ]
 
-# Absolute slack when scanning for density-ratio violations.
+# Absolute slack when scanning for density-ratio violations, and the
+# number of grid points the scan takes on [0, 1/2].
 RATIO_ATOL = 1e-12
+RATIO_GRID = 100_000
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,9 @@ class RatioCheck:
     worst_gap: float
 
 
-def ratio_condition_holds(r: int, sigma: float, grid: int = 100_000) -> RatioCheck:
-    """Scan s in [0, 1/2] for density(s) exceeding density(1-s).
+def ratio_condition_holds(r: int, sigma: float) -> RatioCheck:
+    """Scan RATIO_GRID points s of [0, 1/2] for density(s) exceeding
+    density(1-s).
 
     The kernel's mixture weight density(1-t)/density(t) for t in [1/2, 1)
     stays within [0, 1] exactly when no grid point violates
@@ -116,10 +119,8 @@ def ratio_condition_holds(r: int, sigma: float, grid: int = 100_000) -> RatioChe
     """
     if r < 2:
         raise RankTooSmallError(f"ratio condition undefined for r={r}")
-    if grid < 2:
-        raise ValueError("grid must have at least 2 points")
     law = ChiLaw(r, sigma * sigma)
-    s = np.linspace(0.0, 0.5, grid)
+    s = np.linspace(0.0, 0.5, RATIO_GRID)
     gap = chi_density(law, s) - chi_density(law, 1.0 - s)
     k = int(np.argmax(gap))
     worst = float(gap[k])

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .chilaw import ChiLaw, chi_cdf
-from .errors import DiscforgeError
+from .errors import DimMismatchError, DiscforgeError, NotPsdError
 from .evals import (
     discG_mc,
     disc_bruteforce,
@@ -33,7 +33,7 @@ from .evals import (
 )
 from .instances import unit_columns
 from .kernel import KernelParams, advance_chain_batch
-from .linalg import read_matrix, write_matrix
+from .linalg import check_correlation, read_matrix, write_matrix
 from .parallel import map_trials
 from .report import (
     PASS_FRACTION, SCHEMA_VERSION, ExperimentReport, check_trials, strict_json, verdict,
@@ -75,6 +75,16 @@ def _check_flag(ok: bool, flag: str, rule: str, value) -> None:
     """Reject a command-line value with a message that names its flag."""
     if not ok:
         raise ValueError(f"{flag} must {rule}, got {value}")
+
+
+def _read_correlation(path: str) -> np.ndarray:
+    """read_matrix, then check_correlation, naming the file in its error
+    as read_matrix does."""
+    s = read_matrix(path)
+    try:
+        return check_correlation(s)
+    except (DimMismatchError, NotPsdError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def cmd_walk(args: argparse.Namespace) -> int:
@@ -183,7 +193,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         evaluate, path = (discG_mc, args.coupling) if op == "discg" else (online_discG, args.stream)
         paths.append(path)
-        est = evaluate(a, read_matrix(path), args.samples, RngHandle(args.seed))
+        read = _read_correlation if op == "discg" else read_matrix
+        est = evaluate(a, read(path), args.samples, RngHandle(args.seed))
         value, std_error, samples, seed = est.mean, est.std_error, est.samples, asdict(est.seed)
     _emit(
         args,

@@ -22,7 +22,7 @@ from .errors import (
     NotUnitError,
     TooLargeError,
 )
-from .linalg import check_matrix, psd_cholesky, slice_plan
+from .linalg import check_correlation, check_matrix, psd_cholesky, slice_plan
 from .parallel import map_trials
 from .rng import RngHandle
 
@@ -145,9 +145,9 @@ def disc_bruteforce(a: np.ndarray) -> tuple[float, np.ndarray]:
 
 def vdisc_objective(a: np.ndarray, sigma: np.ndarray) -> float:
     """sqrt(max_i <A_i, Sigma A_i>): the largest row norm of the balanced
-    sum under the coupling with Gram matrix Sigma."""
+    sum under the coupling with Gram matrix Sigma, a correlation matrix."""
     a = check_matrix(a)
-    sigma = check_matrix(sigma)
+    sigma = check_correlation(sigma)
     if sigma.shape != (a.shape[1], a.shape[1]):
         raise DimMismatchError(
             f"matrix {a.shape} incompatible with coupling {sigma.shape}"

@@ -20,7 +20,6 @@ from .errors import BadVarianceError, DimMismatchError, InfeasibleSliceError
 
 __all__ = [
     "KernelParams",
-    "slice_feasible",
     "slice_sample",
     "kernel_step",
     "run_chain",
@@ -77,11 +76,6 @@ def _feasible(t: float, s: float) -> bool:
     s_c, t_c, one_c = s / c, t / c, 1.0 / c
     s_sq = s_c * s_c
     return (t_c - one_c) ** 2 <= s_sq + FEAS_ATOL and s_sq <= (t_c + one_c) ** 2 + FEAS_ATOL
-
-
-def slice_feasible(x: np.ndarray, s: float) -> bool:
-    """Whether some y has ||y - x|| = 1 and ||y|| = s."""
-    return _feasible(_norm(np.asarray(x, dtype=float)), float(s))
 
 
 def _orthogonal_unit(x_hat: np.ndarray, gen: np.random.Generator) -> np.ndarray:

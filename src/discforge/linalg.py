@@ -21,7 +21,6 @@ __all__ = [
     "check_psd",
     "check_correlation",
     "psd_cholesky",
-    "cholesky_rank",
     "top_eigvec",
     "read_matrix",
     "write_matrix",
@@ -35,6 +34,10 @@ SYM_RTOL = 1e-12
 EIG_RTOL = 1e-9
 # Unit-diagonal slack for correlation matrices.
 DIAG_ATOL = 1e-10
+# Power iteration stops at relative residual EIGVEC_TOL, or gives up after
+# EIGVEC_MAX_ITER sweeps.
+EIGVEC_TOL = 1e-9
+EIGVEC_MAX_ITER = 10_000
 # check_symmetric compares the matrix with its transpose in panels of this
 # many rows, so no n x n temporary is made.
 SYM_PANEL = 64
@@ -130,21 +133,14 @@ def psd_cholesky(s: np.ndarray) -> np.ndarray:
     return l
 
 
-def cholesky_rank(l: np.ndarray) -> int:
-    """Number of strictly positive pivots of a psd_cholesky factor."""
-    return int(np.count_nonzero(np.diag(l) > 0.0))
-
-
-def top_eigvec(
-    s: np.ndarray, init: np.ndarray, tol: float = 1e-9, max_iter: int = 10_000
-) -> np.ndarray:
+def top_eigvec(s: np.ndarray, init: np.ndarray) -> np.ndarray:
     """Dominant unit eigenvector of a nonzero PSD matrix via power iteration
     from the nonzero start vector ``init``.
 
-    Stops once ||s v - l v|| <= tol * l with l = vT s v. When the top
+    Stops once ||s v - l v|| <= EIGVEC_TOL * l with l = vT s v. When the top
     eigenvalue is not simple, the iterates approach the normalized
     projection of ``init`` onto its eigenspace. Raises NoConvergenceError
-    after ``max_iter`` sweeps, which in practice signals a near-degenerate
+    after EIGVEC_MAX_ITER sweeps, which in practice signals a near-degenerate
     top of the spectrum.
     """
     s = check_symmetric(s)
@@ -155,16 +151,16 @@ def top_eigvec(
     if nv == 0.0:
         raise ValueError("zero initialization vector")
     v /= nv
-    for _ in range(max_iter):
+    for _ in range(EIGVEC_MAX_ITER):
         w = s @ v
         lam = float(v @ w)
-        if np.linalg.norm(w - lam * v) <= tol * abs(lam) and lam != 0.0:
+        if np.linalg.norm(w - lam * v) <= EIGVEC_TOL * abs(lam) and lam != 0.0:
             return v
         nw = np.linalg.norm(w)
         if nw == 0.0:
             raise NoConvergenceError("iterate collapsed to the null space")
         v = w / nw
-    raise NoConvergenceError(f"power iteration did not converge in {max_iter} sweeps")
+    raise NoConvergenceError(f"power iteration did not converge in {EIGVEC_MAX_ITER} sweeps")
 
 
 def slice_plan(total: int, width: int) -> list[slice]:

@@ -61,7 +61,6 @@ class ExperimentReport:
     summary: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
-    schema: int = SCHEMA_VERSION
 
     @property
     def passed(self) -> bool:
@@ -69,7 +68,7 @@ class ExperimentReport:
 
     def to_summary_dict(self) -> dict:
         return {
-            "schema": self.schema,
+            "schema": SCHEMA_VERSION,
             "experiment": self.name,
             "spec": self.spec,
             "seed": self.seed,
@@ -91,10 +90,3 @@ class ExperimentReport:
             "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8"
         )
         return summary_path
-
-    def reproducible_view(self) -> dict:
-        """Everything except wall-clock timings, for equality checks."""
-        view = self.to_summary_dict()
-        view.pop("timings")
-        view["metrics"] = self.metrics
-        return view

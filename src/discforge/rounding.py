@@ -61,6 +61,9 @@ SPENCER_GW_FACTOR = 0.10
 KOMLOS_GW_FACTOR = 0.14
 
 PLANTED_DISCG_TOL = 1e-6
+# Monte Carlo samples per trial for the planted coupling's Gaussian
+# discrepancy and for the random-signing baseline.
+MC_SAMPLES = BASELINE_SAMPLES = 2000
 
 
 @dataclass(frozen=True)
@@ -181,13 +184,7 @@ SETTINGS = {
 
 
 def _trial(
-    setting: Setting,
-    n: int,
-    rng: RngHandle,
-    sig_pca: np.ndarray,
-    pca_orbit: bool,
-    mc_samples: int,
-    baseline_samples: int,
+    setting: Setting, n: int, rng: RngHandle, sig_pca: np.ndarray, pca_orbit: bool
 ) -> dict:
     """One trial: the instance and the GW draw come from rng's own stream,
     the two Monte Carlo estimates from its substreams 1 and 2. The PCA
@@ -198,8 +195,8 @@ def _trial(
     inst = make_planted(m, n, gen)
     a_scaled = setting.normalize(inst.a, n)
     sig_gw = gw_round(inst.sigma, gen)
-    baseline = random_signing_baseline(a_scaled, baseline_samples, rng.substream(1))
-    planted = discG_mc(a_scaled, inst.sigma, mc_samples, rng.substream(2))
+    baseline = random_signing_baseline(a_scaled, BASELINE_SAMPLES, rng.substream(1))
+    planted = discG_mc(a_scaled, inst.sigma, MC_SAMPLES, rng.substream(2))
     return {
         "m": m,
         "feasible": bool(setting.feasible(a_scaled)),
@@ -214,14 +211,7 @@ def _trial(
     }
 
 
-def rounding_experiment(
-    setting: str,
-    n: int,
-    trials: int,
-    rng: RngHandle,
-    mc_samples: int = 2000,
-    baseline_samples: int = 2000,
-) -> ExperimentReport:
+def rounding_experiment(setting: str, n: int, trials: int, rng: RngHandle) -> ExperimentReport:
     """Run the rounding-failure experiment and report verdicts.
 
     Verdicts: the planted coupling evaluates to (numerically) zero, every
@@ -237,10 +227,7 @@ def rounding_experiment(
     sig_pca = pca_round(sigma, c + 1e-3 * s)
     pca_orbit = shift_orbit_index(sig_pca, half_ones(n)) is not None
     metrics = map_trials(
-        lambda k: _trial(
-            rules, n, rng.substream(k), sig_pca, pca_orbit, mc_samples, baseline_samples
-        ),
-        range(trials),
+        lambda k: _trial(rules, n, rng.substream(k), sig_pca, pca_orbit), range(trials)
     )
     threshold = rules.factor * rules.rate(n)
     frac_feasible = float(np.mean([t["feasible"] for t in metrics]))

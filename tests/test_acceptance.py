@@ -122,8 +122,8 @@ def test_criterion_03_variance_threshold_is_sharp():
     t0 = time.perf_counter()
     for r in (2, 3, 5, 10, 50):
         star = sigma_star(r)
-        assert ratio_condition_holds(r, star * 1.000001, 100_000).holds
-        assert not ratio_condition_holds(r, star * 0.9, 100_000).holds
+        assert ratio_condition_holds(r, star * 1.000001).holds
+        assert not ratio_condition_holds(r, star * 0.9).holds
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     report(3, f"r in (2,3,5,10,50) at grid 1e5, {elapsed:.1f}s")
@@ -323,12 +323,8 @@ def test_criterion_11_rounding_failure():
     signings in both normalization settings."""
     t0 = time.perf_counter()
     n, trials = 502, 50
-    spencer = rounding_experiment(
-        "spencer", n, trials, SEED.substream(1100), mc_samples=1000, baseline_samples=1000
-    )
-    komlos = rounding_experiment(
-        "komlos", n, trials, SEED.substream(1101), mc_samples=1000, baseline_samples=1000
-    )
+    spencer = rounding_experiment("spencer", n, trials, SEED.substream(1100))
+    komlos = rounding_experiment("komlos", n, trials, SEED.substream(1101))
     for rep in (spencer, komlos):
         assert rep.verdicts["planted_coupling_zero"]["passed"]
         assert rep.verdicts["orbit_membership"]["passed"]

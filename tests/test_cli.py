@@ -229,6 +229,23 @@ def test_eval_rejects_non_finite_input(tmp_path, capsys, op):
     assert captured.err.startswith(f"error: {mat}: ")
 
 
+@pytest.mark.parametrize("op", ["vdisc", "discg"])
+def test_eval_rejects_a_coupling_that_is_not_a_correlation_matrix(tmp_path, capsys, op):
+    # 4 I is PSD but no correlation matrix: discg would read about twice
+    # the identity coupling's value
+    mat = tmp_path / "a.mat"
+    write_matrix(mat, np.eye(3))
+    coup = tmp_path / "s.mat"
+    write_matrix(coup, 4.0 * np.eye(3))
+    extra = {"vdisc": [], "discg": ["--samples", "100", "--seed", "1"]}[op]
+    assert main(["eval", op, "--input", str(mat), "--coupling", str(coup), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("diagonal is not the all-ones vector\n")
+    if op == "discg":
+        assert captured.err.startswith(f"error: {coup}: ")
+
+
 def test_cli_json_is_strict(tmp_path, capsys):
     # the row sum overflows to inf, which has no JSON form
     mat = tmp_path / "a.mat"

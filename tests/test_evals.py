@@ -7,6 +7,7 @@ import pytest
 from discforge.errors import (
     DimMismatchError,
     InfeasibleTriangleError,
+    NotPsdError,
     NotUnitError,
     TooLargeError,
 )
@@ -79,6 +80,15 @@ def test_vdisc_objective_examples():
     assert abs(vdisc_objective(b, cov) - np.abs(b @ sigma).max()) < 1e-10
     with pytest.raises(DimMismatchError):
         vdisc_objective(b, np.eye(4))
+
+
+def test_vdisc_objective_rejects_a_coupling_that_is_not_a_correlation_matrix():
+    # an eigenvalue of -1, an asymmetric matrix, and a diagonal of 4: on the
+    # all-ones row they would read 2.449, 1.414 and 2.83
+    a = np.ones((1, 2))
+    for bad in ([[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.9], [-0.9, 1.0]], 4.0 * np.eye(2)):
+        with pytest.raises(NotPsdError):
+            vdisc_objective(a, np.array(bad))
 
 
 def test_vdisc_planted_coupling_is_zero():

@@ -18,7 +18,6 @@ from discforge.kernel import (
     kernel_step,
     kernel_step_batch,
     run_chain,
-    slice_feasible,
     slice_sample,
 )
 from discforge.rng import RngHandle
@@ -39,11 +38,12 @@ def test_params_validation():
 
 
 def test_slice_feasible_examples():
-    assert not slice_feasible(np.array([3.0, 0.0]), 0.5)
-    assert slice_feasible(np.array([1.0, 0.0]), 1.0)
-    assert slice_feasible(np.zeros(2), 1.0)
-    assert not slice_feasible(np.zeros(2), 0.5)
-    assert not slice_feasible(np.array([1.0, 0.0]), -0.5)
+    gen = RngHandle(0).generator()
+    for x, s in [(np.array([1.0, 0.0]), 1.0), (np.zeros(2), 1.0)]:
+        assert abs(np.linalg.norm(x + slice_sample(x, s, gen)) - s) < 1e-12
+    for x, s in [(np.array([3.0, 0.0]), 0.5), (np.zeros(2), 0.5), (np.array([1.0, 0.0]), -0.5)]:
+        with pytest.raises(InfeasibleSliceError):
+            slice_sample(x, s, gen)
 
 
 def test_slice_sample_unique_point():
@@ -91,11 +91,11 @@ def test_slice_sample_infeasible():
     # step is a unit vector that lands on the slice
     x = np.array([1e155, 0.0, 0.0])
     u = slice_sample(x, 1e155, RngHandle(0).generator())
-    assert not slice_feasible(x, 3e155)
-    assert not slice_feasible(np.array([1e300, 1e300]), 1e300)
     assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
     assert abs(np.linalg.norm((x + u) / 1e155) - 1.0) <= 1e-12
-    assert not slice_feasible(np.array([np.inf, 0.0]), 1.0)
+    for x, s in [(x, 3e155), (np.array([1e300, 1e300]), 1e300), (np.array([np.inf, 0.0]), 1.0)]:
+        with pytest.raises(InfeasibleSliceError):
+            slice_sample(x, s, RngHandle(0).generator())
 
 
 def test_state_norm_measured_once_per_call(monkeypatch):

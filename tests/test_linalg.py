@@ -11,7 +11,6 @@ from discforge.linalg import (
     check_correlation,
     check_psd,
     check_symmetric,
-    cholesky_rank,
     psd_cholesky,
     read_matrix,
     slice_plan,
@@ -43,7 +42,7 @@ def test_cholesky_rank_deficient_unit_rows():
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     s = u @ u.T
     l = psd_cholesky(s)
-    assert cholesky_rank(l) == eig_rank(s) == 2
+    assert np.count_nonzero(np.diag(l) > 0.0) == eig_rank(s) == 2
     assert np.abs(l @ l.T - s).max() < 1e-8
     assert np.array_equal(l, np.tril(l))
     # columns without a positive pivot are entirely zero
@@ -130,7 +129,7 @@ def test_cholesky_matches_column_by_column_reference():
             continue
         got = psd_cholesky(s)
         assert np.array_equal(got, want)
-        deficient += cholesky_rank(got) < s.shape[0]
+        deficient += np.count_nonzero(np.diag(got) > 0.0) < s.shape[0]
     assert raised >= 40 and deficient >= 150
 
 
@@ -213,9 +212,11 @@ def test_top_eigvec_rank_one():
 
 
 def test_top_eigvec_no_convergence_on_tight_spectrum():
-    s = np.diag([1.0, 0.999])
-    with pytest.raises(NoConvergenceError):
-        top_eigvec(s, np.ones(2), tol=1e-12, max_iter=50)
+    # the residual shrinks like (1 - 1e-6)^k, so the relative tolerance
+    # 1e-9 is millions of sweeps away: the 10 000-sweep budget runs out
+    s = np.diag([1.0, 1.0 - 1e-6])
+    with pytest.raises(NoConvergenceError, match="in 10000 sweeps"):
+        top_eigvec(s, np.ones(2))
 
 
 def test_check_psd_and_correlation():

@@ -32,7 +32,9 @@ def test_passed_reflects_verdicts():
 def test_experiment_reproducible_from_seed():
     a = rounding_experiment("spencer", 102, trials=2, rng=RngHandle(7))
     b = rounding_experiment("spencer", 102, trials=2, rng=RngHandle(7))
-    assert a.reproducible_view() == b.reproducible_view()
+    # everything the report holds except its wall-clock timings
+    for field in ("spec", "seed", "metrics", "summary", "verdicts"):
+        assert getattr(a, field) == getattr(b, field)
 
 
 def test_files_written(tmp_path):
