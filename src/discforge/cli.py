@@ -34,7 +34,6 @@ from .evals import (
 from .instances import unit_columns
 from .kernel import KernelParams, advance_chain_batch
 from .linalg import check_correlation, read_matrix, write_matrix
-from .parallel import map_trials
 from .report import (
     PASS_FRACTION, SCHEMA_VERSION, ExperimentReport, check_trials, strict_json, verdict,
 )
@@ -189,7 +188,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         value = vdisc_objective(a, read_matrix(args.coupling))
     elif op == "discs":
         paths.append(args.point)
-        value = discs_objective(a, read_matrix(args.point).ravel())
+        point = read_matrix(args.point)
+        if point.shape[0] != 1:
+            raise DimMismatchError(f"{args.point}: expected one row, found {point.shape[0]}")
+        value = discs_objective(a, point[0])
     else:
         evaluate, path = (discG_mc, args.coupling) if op == "discg" else (online_discG, args.stream)
         paths.append(path)
@@ -241,10 +243,10 @@ def cmd_banaszczyk(args: argparse.Namespace) -> int:
     handle = RngHandle(args.seed)
     threshold = BANASZCZYK_FACTOR * math.sqrt(math.log(2.0 * args.m * args.t / args.delta))
     t0 = time.perf_counter()
-    metrics = map_trials(
-        lambda k: _banaszczyk_trial(handle.substream(k), args.m, args.t, rank, args.samples),
-        range(args.trials),
-    )
+    metrics = [
+        _banaszczyk_trial(handle.substream(k), args.m, args.t, rank, args.samples)
+        for k in range(args.trials)
+    ]
     elapsed = time.perf_counter() - t0
     for k, row in enumerate(metrics):
         row["trial"] = k

@@ -6,8 +6,8 @@ equivalently Gram matrices), spherical (radius sqrt(n)), and Gaussian
 Exact objectives are evaluated directly; the Gaussian expectation has no
 closed form and is estimated by Monte Carlo with a reported standard
 error. The Monte Carlo evaluators take an RngHandle and sample in
-fixed-size blocks, block k drawing from the handle's substream k, so
-estimates do not depend on how blocks are scheduled.
+fixed-size blocks, block k drawing from the handle's substream k, so an
+estimate depends only on the handle and the sample count.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from .errors import (
     TooLargeError,
 )
 from .linalg import check_correlation, check_matrix, psd_cholesky, slice_plan
-from .parallel import map_trials
 from .rng import RngHandle
 
 __all__ = [
@@ -94,18 +93,13 @@ def _check_sampling(samples: int, rng: RngHandle) -> None:
         raise TypeError(f"Monte Carlo evaluators take an RngHandle, got {type(rng).__name__}")
 
 
-def _block_plan(samples: int) -> list[int]:
-    sizes = [MC_BLOCK] * (samples // MC_BLOCK)
-    if samples % MC_BLOCK:
-        sizes.append(samples % MC_BLOCK)
-    return sizes
-
-
 def _map_blocks(fn, rng: RngHandle, samples: int) -> list:
-    """Run fn(generator, block_size) over the sample blocks, block k on
-    substream k of rng, on the trial thread pool."""
-    plan = _block_plan(samples)
-    return map_trials(lambda k: fn(rng.substream(k).generator(), plan[k]), range(len(plan)))
+    """Run fn(generator, block_size) over blocks of MC_BLOCK samples (the
+    last one shorter) in order, block k on substream k of rng."""
+    return [
+        fn(rng.substream(k).generator(), min(MC_BLOCK, samples - start))
+        for k, start in enumerate(range(0, samples, MC_BLOCK))
+    ]
 
 
 def _estimate(vals: np.ndarray, rng: RngHandle) -> McEstimate:

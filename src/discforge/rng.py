@@ -2,8 +2,8 @@
 
 Randomness is keyed by a (seed, stream) pair fed to a counter-based Philox
 bit generator, so identical handles reproduce identical draws on every
-platform and independent streams can be fanned out to parallel trials
-without any coordination.
+platform, and each trial or Monte Carlo block draws from its own derived
+substream whatever else ran before it.
 """
 from __future__ import annotations
 
@@ -42,11 +42,11 @@ class RngHandle:
         return np.random.Generator(np.random.Philox(key=key))
 
     def substream(self, index: int) -> "RngHandle":
-        """Derived handle for parallel trial or block number ``index``.
+        """Derived handle for trial or block number ``index``.
 
         Substream ids are mixed from (stream, index), so trials get
-        distinct Philox keys and results do not depend on scheduling
-        order. Derivation nests: a substream can be split again.
+        distinct Philox keys and a trial's draws do not depend on the
+        trials before it. Derivation nests: a substream can be split again.
         """
         base = (self.stream * 0x100000001B3 + int(index) + 1) & _MASK64
         return RngHandle(self.seed, _mix64(base))

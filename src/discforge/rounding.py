@@ -22,7 +22,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import BadSizeError
 from .evals import discG_mc, random_signing_baseline
 from .linalg import psd_cholesky, top_eigvec
-from .parallel import map_trials
 from .report import PASS_FRACTION, ExperimentReport, check_trials, verdict
 from .rng import RngHandle
 
@@ -226,9 +225,7 @@ def rounding_experiment(setting: str, n: int, trials: int, rng: RngHandle) -> Ex
     rules = SETTINGS[setting]
     sig_pca = pca_round(sigma, c + 1e-3 * s)
     pca_orbit = shift_orbit_index(sig_pca, half_ones(n)) is not None
-    metrics = map_trials(
-        lambda k: _trial(rules, n, rng.substream(k), sig_pca, pca_orbit), range(trials)
-    )
+    metrics = [_trial(rules, n, rng.substream(k), sig_pca, pca_orbit) for k in range(trials)]
     threshold = rules.factor * rules.rate(n)
     frac_feasible = float(np.mean([t["feasible"] for t in metrics]))
     frac_gw_low = float(np.mean([t["gw_linf"] >= threshold for t in metrics]))

@@ -341,6 +341,16 @@ def test_eval_matches_the_library_objectives(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["value"] == vdisc_objective(a, coupling)
 
 
+def test_eval_discs_rejects_a_point_file_of_more_than_one_row(tmp_path, capsys):
+    a, point = tmp_path / "a.mat", tmp_path / "p.mat"
+    write_matrix(a, np.ones((2, 6)))
+    write_matrix(point, np.ones((2, 3)))
+    assert main(["eval", "discs", "--input", str(a), "--point", str(point)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {point}: ")
+
+
 def test_eval_names_a_missing_input(tmp_path, capsys):
     mat = tmp_path / "a.mat"
     write_matrix(mat, np.eye(2))
@@ -400,7 +410,8 @@ def test_stationarity_verdicts_match_scipy_stats(tmp_path):
 def test_runs_without_scipy_stats(tmp_path):
     # walk, banaszczyk and rounding never need the chi law or a KS test, and
     # the walk's products are numpy's, so neither importing the package nor
-    # running them may load any scipy module
+    # running them may load any scipy module; trials and Monte Carlo blocks
+    # run in order, so no concurrent module is loaded either
     mat = tmp_path / "cols.mat"
     write_matrix(mat, np.eye(6)[:, :5])
     runs = [
@@ -412,12 +423,12 @@ def test_runs_without_scipy_stats(tmp_path):
 import sys
 import discforge
 import discforge.cli
-def scipy_modules():
-    return [k for k in sys.modules if k.split(".")[0] == "scipy"]
-assert not scipy_modules(), ("import", scipy_modules())
+def loaded():
+    return [k for k in sys.modules if k.split(".")[0] in ("scipy", "concurrent")]
+assert not loaded(), ("import", loaded())
 for argv in {runs!r}:
     assert discforge.cli.main(argv) == 0, argv[0]
-    assert not scipy_modules(), (argv[0], scipy_modules())
+    assert not loaded(), (argv[0], loaded())
 """
     path = [str(Path(discforge.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(

@@ -319,16 +319,6 @@ def test_online_discg_builds_one_round_block_stack_at_a_time(traced_peak):
     assert peak <= 8 * PREFIX_ROUNDS * m * big_t // 2
 
 
-def test_online_discg_does_not_depend_on_the_thread_count(monkeypatch):
-    vs = unit_columns(6, 11, RngHandle(73))
-    us = unit_rows(11, 3, 74)
-    monkeypatch.setenv("DISCFORGE_THREADS", "1")
-    one = online_discG(vs, us, MC_BLOCK + 300, RngHandle(75))
-    monkeypatch.setenv("DISCFORGE_THREADS", "2")
-    two = online_discG(vs, us, MC_BLOCK + 300, RngHandle(75))
-    assert one == two
-
-
 def test_online_discg_is_monotone_max_over_prefixes():
     # a prefix of the stream can never have a larger estimate
     m, big_t = 4, 12
