@@ -30,7 +30,7 @@ from discforge.evals import (
 from discforge.instances import unit_columns
 from discforge.linalg import psd_cholesky
 from discforge.rng import RngHandle
-from discforge.rounding import make_planted
+from discforge.rounding import BASELINE_SAMPLES, SETTINGS, make_planted
 
 ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -253,6 +253,7 @@ def test_evaluators_take_matrices_through_check_matrix():
         lambda: vdisc_objective_units(np.eye(2), bad),
         lambda: discs_objective(bad, np.ones(2)),
         lambda: discG_mc(bad, np.eye(2), 10, RngHandle(0)),
+        lambda: discG_mc(np.eye(2), bad, 10, RngHandle(0)),
         lambda: online_discG(bad, np.eye(2), 10, RngHandle(0)),
         lambda: random_signing_baseline(bad, 10, RngHandle(0)),
     ]
@@ -418,12 +419,28 @@ def test_random_signing_baseline():
     assert est.mean == 1.0 and est.std_error == 0.0
 
 
+def block_bits(rng, k, n, size):
+    return rng.substream(k).generator().integers(0, 2, size=(n, size), dtype=bool)
+
+
+def signing_maxima32(a, bits):
+    """Reference of random_signing_baseline's per-sample maxima: A scaled
+    by 2^-e and cast to float32, r - 2 A b on the 0/1 bits, abs and max in
+    float32, then scaled back by 2^e in float64."""
+    e = int(np.frexp(np.abs(a).max())[1])
+    a32 = np.ldexp(a, -e).astype(np.float32)
+    prod = a32.sum(axis=1)[:, None] - 2 * (a32 @ bits.astype(np.float32))
+    assert prod.dtype == np.float32
+    return np.ldexp(np.abs(prod).max(axis=0).astype(float), e)
+
+
 def test_random_signing_baseline_pins_block_zero_draw():
+    # exact pins: a float64 product of the same bits would differ in its
+    # last bits, so these cases also check that the products run in float32
     n, samples = 7, 900
     a = RngHandle(77).generator().standard_normal((3, n))
     est = random_signing_baseline(a, samples, RngHandle(78))
-    bits = RngHandle(78).substream(0).generator().integers(0, 2, size=(n, samples), dtype=bool)
-    vals = np.abs(a @ (1.0 - 2.0 * bits)).max(axis=0)
+    vals = signing_maxima32(a, block_bits(RngHandle(78), 0, n, samples))
     assert est.mean == vals.mean()
     assert est.std_error == vals.std(ddof=1) / math.sqrt(samples)
     # a block in several column slices ending in a partial one: integer
@@ -442,17 +459,42 @@ def test_random_signing_baseline_pins_block_zero_draw():
     a = RngHandle(77).generator().standard_normal((3, n))
     est = random_signing_baseline(a, samples, RngHandle(78))
     vals = np.concatenate([
-        np.abs(a @ (1.0 - 2.0 * RngHandle(78).substream(k).generator().integers(
-            0, 2, size=(n, size), dtype=bool))).max(axis=0)
+        signing_maxima32(a, block_bits(RngHandle(78), k, n, size))
         for k, size in enumerate((MC_BLOCK, 5))
     ])
     assert est.mean == vals.mean()
     assert est.std_error == vals.std(ddof=1) / math.sqrt(samples)
 
 
+@pytest.mark.parametrize("n", [502, 2002])
+def test_random_signing_baseline_float32_error_budget(n):
+    # the rounding-spencer shape (80 x 502) and 263 x 2002: the float32
+    # estimate is within 1e-3 standard errors of float64 products of the
+    # same bits
+    setting = SETTINGS["spencer"]
+    inst = make_planted(setting.rows(n), n, RngHandle(86).generator())
+    a = setting.normalize(inst.a, n)
+    est = random_signing_baseline(a, BASELINE_SAMPLES, RngHandle(87))
+    bits = block_bits(RngHandle(87), 0, n, BASELINE_SAMPLES)
+    vals = np.abs(a @ (1.0 - 2.0 * bits)).max(axis=0)
+    std_error = vals.std(ddof=1) / math.sqrt(BASELINE_SAMPLES)
+    assert abs(est.mean - vals.mean()) <= 1e-3 * std_error
+    assert abs(est.std_error - std_error) <= 1e-3 * std_error
+
+
+@pytest.mark.parametrize("k", [1e200, 1e-200])
+def test_random_signing_baseline_scales_with_the_matrix(k):
+    # a plain float32 cast of k A overflows (NaN) or flushes to zero (0.0)
+    a = RngHandle(88).generator().standard_normal((20, 102))
+    ref = random_signing_baseline(a, 500, RngHandle(89))
+    est = random_signing_baseline(k * a, 500, RngHandle(89))
+    assert abs(est.mean / k - ref.mean) <= 1e-6 * ref.mean
+    assert abs(est.std_error / k - ref.std_error) <= 1e-6 * ref.std_error
+
+
 def test_random_signing_baseline_holds_one_slice_of_floats(traced_peak):
-    # the rounding-spencer shape: the bits of the block, one slice of +-1
-    # floats and small per-slice products, never the n x size float matrix
+    # the rounding-spencer shape: the bits of the block, one slice of float32
+    # 0/1 values and small per-slice products, never the n x size float matrix
     m, n, samples = 80, 502, 2000
     a = RngHandle(81).generator().standard_normal((m, n))
     peak = traced_peak(lambda: random_signing_baseline(a, samples, RngHandle(82)))

@@ -9,9 +9,9 @@ setting, sqrt(n / ln n) for the column-bounded one). The frozen factors
 sit below the observed 0.5th percentile so a 50-trial run passes the 95%
 bar with a wide margin. Each trial also runs the experiment's two Monte
 Carlo estimates (the random-signing baseline and discG of the planted
-coupling): at n=502 a trial takes 7-9 ms against 3 ms for the roundings
-alone (2-vCPU Xeon, one BLAS thread), so the default 400 trials per
-setting take a few seconds more.
+coupling): at n=502 a trial takes 5-7.5 ms against 3 ms for the
+roundings alone (2-vCPU Xeon, one BLAS thread), so the default 400
+trials per setting take a second or two more.
 
 Last run: seed 20260811, 400 trials per setting, n=502.
   spencer scale=3: feasible 1.000; gw ratio pct[0.5,1,5] = 0.108 0.110 0.121
