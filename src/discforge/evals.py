@@ -109,6 +109,25 @@ def _estimate(vals: np.ndarray, rng: RngHandle) -> McEstimate:
     return McEstimate(float(vals.mean()), std_error, samples, rng)
 
 
+def _scale_exponent(x: np.ndarray) -> int:
+    """The exponent e of frexp(max |x|), so 2^-e x has entries below 1 in
+    magnitude and its per-sample values, their squares and their float32
+    casts neither overflow nor flush to zero. A subnormal peak gives
+    e = -1022, so 2^-e stays a finite float64."""
+    peak = max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)))
+    return max(math.frexp(peak)[1], -1022)
+
+
+def _scaled_back(est: McEstimate, exponent: int) -> McEstimate:
+    """An estimate of 2^-e X as one of X: both numbers times 2^e, exactly."""
+    return McEstimate(
+        math.ldexp(est.mean, exponent),
+        math.ldexp(est.std_error, exponent),
+        est.samples,
+        est.seed,
+    )
+
+
 def disc_bruteforce(a: np.ndarray) -> tuple[float, np.ndarray]:
     """Exact discrepancy min over signings of ||A sigma||_inf, with an
     argmin, by enumerating the 2^(n-1) signings that fix sigma_1 = +1
@@ -183,6 +202,13 @@ def discG_mc(
     formed once and each sample costs k normals and one product with it.
     A zero coupling (k = 0) estimates exactly 0. The n x n factor is
     dropped once A L_k is formed, so it is not held while sampling.
+
+    A L_k is scaled once by the power of two 2^-e, with e the exponent of
+    frexp(max |A L_k|), and the mean and standard error are multiplied
+    back by 2^e. Scaling by a power of two is exact, so at ordinary scales
+    the estimate is bitwise that of the unscaled product; at extreme ones
+    (A of order 1e200 or 1e-200) the sum of squares behind the standard
+    error neither overflows nor underflows. The arithmetic is float64.
     """
     _check_sampling(samples, rng)
     a = check_matrix(a)
@@ -196,13 +222,16 @@ def discG_mc(
     low = psd_cholesky(sigma)
     ak = a @ low[:, np.diag(low) > 0.0]
     del low  # free the n x n factor before the sampling temporaries
+    exponent = _scale_exponent(ak)
+    np.ldexp(ak, -exponent, out=ak)
     k = ak.shape[1]
 
     def block(gen: np.random.Generator, size: int) -> np.ndarray:
         xi = gen.standard_normal((k, size))
         return np.abs(ak @ xi).max(axis=0, initial=0.0)
 
-    return _estimate(np.concatenate(_map_blocks(block, rng, samples)), rng)
+    est = _estimate(np.concatenate(_map_blocks(block, rng, samples)), rng)
+    return _scaled_back(est, exponent)
 
 
 def online_discG(
@@ -217,17 +246,27 @@ def online_discG(
 
     The same Gaussian samples are reused across all prefixes, so the
     per-prefix means are comparable and their maximum is stable. Each
-    Monte Carlo block draws g = us @ normals and evaluates the prefixes in
-    blocks of PREFIX_ROUNDS (4) rounds: one product of the round block's
-    V, stacked 4 times with the columns of later rounds masked, with those
-    rows of g gives all 4 prefix increments, which are added to the
-    running sum. The (4m x 4) stack is built for each round block as it is
-    reached, so no 4m x T copy of the stream is made. The samples go
-    through in column chunks of max(256, PREFIX_BYTES // (8 * 4 * m)), so
-    that product's 4m x cols output is PREFIX_BYTES (1 MiB) up to m = 128;
-    above it the 256-column floor makes it 8 m KiB (32 MiB at m = 4096).
-    The draws are those of the round-by-round recursion acc += v_t g_t,
-    and the estimate agrees with it to rounding.
+    Monte Carlo block draws g = us @ normals in float64 and evaluates the
+    prefixes in blocks of PREFIX_ROUNDS (4) rounds: one product of the
+    round block's V, stacked 4 times with the columns of later rounds
+    masked, with those rows of g gives all 4 prefix increments, which are
+    added to the running sum. The (4m x 4) stack is built for each round
+    block as it is reached, so no 4m x T copy of the stream is made. The
+    samples go through in column chunks of max(256, PREFIX_BYTES // (4 * 4
+    * m)), so that product's 4m x cols output is PREFIX_BYTES (1 MiB) up to
+    m = 256; above it the 256-column floor makes it 4 m KiB (16 MiB at
+    m = 4096).
+
+    The prefix arithmetic runs in float32. V is scaled by the power of two
+    2^-e, with e the exponent of frexp(max |V|), as each round block's
+    float32 stack is built from it (the scale sits in the mask, so no
+    scaled or float32 copy of V is made), and g is cast to float32 after
+    it is drawn. The per-sample maxima of each round are summed, and their
+    squares summed, in float64; the mean and standard error are formed in
+    float64 and multiplied back by 2^e. The draws are those of the
+    round-by-round float64 recursion acc += v_t g_t, and the estimate is
+    within 1e-3 standard errors and 1e-6 relative of it (tested up to
+    m = 4096, T = 384 and at 20 000 samples).
     """
     _check_sampling(samples, rng)
     vs = check_matrix(vs)
@@ -240,21 +279,23 @@ def online_discG(
     if big_t == 0 or m == 0:
         return McEstimate(0.0, 0.0, samples, rng)
     b = PREFIX_ROUNDS
-    # slab j of a round block's stack is the block's V with the columns of
-    # its rounds after j zeroed, so stack @ g[rows] gives the increments of
-    # all b prefixes
-    mask = np.tri(b, dtype=bool)[:, None]
-    chunk = max(256, PREFIX_BYTES // (8 * b * m))
+    exponent = _scale_exponent(vs)
+    # slab j of a round block's stack is the block's V, times 2^-e, with the
+    # columns of its rounds after j zeroed, so stack @ g[rows] gives the
+    # increments of all b prefixes
+    mask = np.ldexp(np.tri(b)[:, None], -exponent)
+    chunk = max(256, PREFIX_BYTES // (4 * b * m))
 
     def block(gen: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        g = us @ gen.standard_normal((us.shape[1], size))
+        g = (us @ gen.standard_normal((us.shape[1], size))).astype(np.float32)
         part_sums = np.zeros(big_t)
         part_sqs = np.zeros(big_t)
-        stack = np.empty((b, m, b))
+        stack = np.empty((b, m, b), dtype=np.float32)
         for c0 in range(0, size, chunk):
             cols = min(chunk, size - c0)
-            acc = np.zeros((m, cols))
-            buf = np.empty((b * m, cols))
+            acc = np.zeros((m, cols), dtype=np.float32)
+            buf = np.empty((b * m, cols), dtype=np.float32)
+            maxima = np.empty((big_t, cols), dtype=np.float32)  # per round and sample
             for t0 in range(0, big_t, b):
                 nb = min(b, big_t - t0)
                 slabs = stack[:nb, :, :nb]
@@ -265,9 +306,9 @@ def online_discG(
                 pre += acc
                 acc[...] = pre[-1]
                 np.abs(pre, out=pre)
-                cur = pre.max(axis=1)
-                part_sums[t0 : t0 + nb] += cur.sum(axis=1)
-                part_sqs[t0 : t0 + nb] += np.einsum("ij,ij->i", cur, cur)
+                pre.max(axis=1, out=maxima[t0 : t0 + nb])
+            part_sums += maxima.sum(axis=1, dtype=np.float64)
+            part_sqs += np.einsum("ij,ij->i", maxima, maxima, dtype=np.float64)
         return part_sums, part_sqs
 
     sums = np.zeros(big_t)
@@ -278,10 +319,11 @@ def online_discG(
     means = sums / samples
     t_star = int(np.argmax(means))
     mean = float(means[t_star])
-    if samples < 2:
-        return McEstimate(mean, 0.0, samples, rng)
-    var = (sqs[t_star] - samples * mean * mean) / (samples - 1)
-    return McEstimate(mean, math.sqrt(max(var, 0.0) / samples), samples, rng)
+    std_error = 0.0
+    if samples >= 2:
+        var = (sqs[t_star] - samples * mean * mean) / (samples - 1)
+        std_error = math.sqrt(max(var, 0.0) / samples)
+    return _scaled_back(McEstimate(mean, std_error, samples, rng), exponent)
 
 
 def coupling_from_signing(sigma: np.ndarray) -> np.ndarray:
@@ -375,7 +417,7 @@ def random_signing_baseline(a: np.ndarray, trials: int, rng: RngHandle) -> McEst
     _check_sampling(trials, rng)
     a = check_matrix(a)
     n = a.shape[1]
-    exponent = int(np.frexp(np.abs(a).max(initial=0.0))[1])
+    exponent = _scale_exponent(a)
     a32 = np.ldexp(a, -exponent).astype(np.float32)
     r = a32.sum(axis=1)[:, None]
 
@@ -398,7 +440,4 @@ def random_signing_baseline(a: np.ndarray, trials: int, rng: RngHandle) -> McEst
             prod.max(axis=0, initial=0.0, out=vals[cols])
         return vals
 
-    est = _estimate(np.concatenate(_map_blocks(block, rng, trials)), rng)
-    return McEstimate(
-        math.ldexp(est.mean, exponent), math.ldexp(est.std_error, exponent), trials, rng
-    )
+    return _scaled_back(_estimate(np.concatenate(_map_blocks(block, rng, trials)), rng), exponent)

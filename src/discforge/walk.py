@@ -166,7 +166,11 @@ def walk_run(config: WalkConfig, vs: np.ndarray) -> WalkRun:
     every round j, the squared row norms of the signed sum Delta advance
     round by round by v_j * (2 D[:, j] + v_j) (u_j is a unit vector), and
     V U is added to W and Delta, formed in row slices of about STEP_BYTES
-    (linalg.slice_plan) so no m x r product buffer exists. The squared
+    (linalg.slice_plan) so no m x r product buffer exists. The increments
+    are added in round order in one m x (b + 1) buffer whose first column
+    holds the squared norms at the start of the block, so each sum is that
+    of the round-by-round update, and the block's row norms take one max
+    over the rows and one sqrt, not one of each per round. The squared
     norms are recomputed from Delta every few blocks, so their drift stays
     bounded. W, V and Delta sit side by side in one buffer, so [Z G] is
     one gemm and D another (numpy takes V^T V alone through syrk, 3x
@@ -190,9 +194,11 @@ def walk_run(config: WalkConfig, vs: np.ndarray) -> WalkRun:
     w, vblk, delta = buf[:, :r], buf[:, r : r + b], buf[:, r + b :]  # delta: signed sum
     w[:] = state.w
     del state  # frees the C-order W_0 once w holds it
-    sq = np.zeros(m)  # squared row norms of delta
+    # column 0 holds the squared row norms of delta at the start of a block,
+    # columns 1..b their per-round increments and then their running values
+    tail = np.zeros((m, b + 1), order="F")
+    sq, inc = tail[:, 0], tail[:, 1:]
     ublk = np.zeros((b, r))
-    inc = np.empty((m, b), order="F")  # per-round increments of sq
     rows = slice_plan(m, STEP_BYTES // (8 * r))
     step = np.empty((max(sl.stop - sl.start for sl in rows), r), order="F")  # V U by rows
     coef = np.empty((b + r, b))  # [2 triu(U U^T, 1); 2 U^T], so [V Delta] coef = 2 D
@@ -219,8 +225,10 @@ def walk_run(config: WalkConfig, vs: np.ndarray) -> WalkRun:
         inc += vblk
         inc *= vblk
         for j in range(width):
-            sq += inc[:, j]
-            row_norms[start + j] = math.sqrt(float(sq.max(initial=0.0)))
+            np.add(tail[:, j], tail[:, j + 1], out=tail[:, j + 1])
+        # initial=0.0: a squared norm can fall below 0 by rounding
+        np.sqrt(inc[:, :width].max(axis=0, initial=0.0), out=row_norms[start : start + width])
+        sq[:] = tail[:, width]
         for sl in rows:
             part = step[: sl.stop - sl.start]
             np.matmul(vblk[sl], ublk, out=part)
