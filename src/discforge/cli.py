@@ -42,9 +42,14 @@ from .rounding import make_planted, rounding_experiment
 from .stats import COV_MIN_SAMPLES, cov_test, holm_adjust, ks_test
 from .walk import WalkConfig, banaszczyk_rank, walk_run
 
-# Frozen acceptance factor for the online Gaussian-discrepancy run: the
-# estimate must stay below BANASZCZYK_FACTOR * sqrt(ln(2 m T / delta)).
+# Frozen acceptance factor and failure probability delta of the online
+# Gaussian-discrepancy run: the estimate must stay below
+# BANASZCZYK_FACTOR * sqrt(ln(2 m T / delta)) at rank banaszczyk_rank(m, T, delta).
 BANASZCZYK_FACTOR = 6.0
+BANASZCZYK_DELTA = 0.05
+# Frozen stationarity gates: the Holm-adjusted KS family and the covariance.
+STATIONARITY_LEVEL = 0.01
+STATIONARITY_COV_TOL = 0.05
 
 
 def _digest(*paths: str) -> str:
@@ -127,6 +132,8 @@ def cmd_walk(args: argparse.Namespace) -> int:
 
 
 def cmd_stationarity(args: argparse.Namespace) -> int:
+    """Kernel marginal check: the r + 1 KS tests are one Holm family gated at
+    STATIONARITY_LEVEL, and the covariance deviation is gated at STATIONARITY_COV_TOL."""
     from scipy.special import ndtr
 
     _check_flag(args.sigma > 0.0, "--sigma", "be positive", args.sigma)
@@ -134,8 +141,6 @@ def cmd_stationarity(args: argparse.Namespace) -> int:
         args.runs >= COV_MIN_SAMPLES, "--runs", f"be at least {COV_MIN_SAMPLES}", args.runs
     )
     _check_flag(args.steps >= 1, "--steps", "be at least 1", args.steps)
-    _check_flag(0.0 < args.level < 1.0, "--level", "lie in (0, 1)", args.level)
-    _check_flag(args.cov_tol > 0.0, "--cov-tol", "be positive", args.cov_tol)
     handle = RngHandle(args.seed)
     sigma2 = args.sigma * args.sigma
     params = KernelParams(args.r, sigma2)
@@ -148,14 +153,14 @@ def cmd_stationarity(args: argparse.Namespace) -> int:
     radius = ks_test(np.linalg.norm(xs, axis=1), lambda s: chi_cdf(law, s))
     coords = [ks_test(xs[:, j], lambda s: ndtr(s / args.sigma)) for j in range(args.r)]
     cov_dev = cov_test(xs, sigma2 * np.eye(args.r))
-    # the r + 1 KS verdicts are one family, gated at --level by Holm
     names = ["ks_radius"] + [f"ks_coordinate_{j}" for j in range(args.r)]
     adjusted = holm_adjust([radius.p_value] + [c.p_value for c in coords])
-    verdicts = {name: verdict(p, args.level, ">=") for name, p in zip(names, adjusted)}
-    verdicts["cov_entrywise"] = verdict(cov_dev, args.cov_tol, "<=")
+    verdicts = {name: verdict(p, STATIONARITY_LEVEL, ">=") for name, p in zip(names, adjusted)}
+    verdicts["cov_entrywise"] = verdict(cov_dev, STATIONARITY_COV_TOL, "<=")
     report = ExperimentReport(
         name="stationarity",
-        spec={"r": args.r, "sigma": args.sigma, "runs": args.runs, "steps": args.steps, "level": args.level},
+        spec={"r": args.r, "sigma": args.sigma, "runs": args.runs, "steps": args.steps,
+              "level": STATIONARITY_LEVEL},
         seed=asdict(handle),
         metrics=[{
             "ks_radius": radius.to_dict(),
@@ -234,14 +239,14 @@ def _banaszczyk_trial(
 
 
 def cmd_banaszczyk(args: argparse.Namespace) -> int:
+    """Online Gaussian-discrepancy trials at delta = BANASZCZYK_DELTA."""
     check_trials(args.trials)
     _check_flag(args.m >= 1, "--m", "be at least 1", args.m)
     _check_flag(args.t >= 1, "--t", "be at least 1", args.t)
-    _check_flag(0.0 < args.delta < 1.0, "--delta", "lie in (0, 1)", args.delta)
     _check_flag(args.samples >= 1, "--samples", "be at least 1", args.samples)
-    rank = banaszczyk_rank(args.m, args.t, args.delta) if args.rank is None else args.rank
+    rank = banaszczyk_rank(args.m, args.t, BANASZCZYK_DELTA)
     handle = RngHandle(args.seed)
-    threshold = BANASZCZYK_FACTOR * math.sqrt(math.log(2.0 * args.m * args.t / args.delta))
+    threshold = BANASZCZYK_FACTOR * math.sqrt(math.log(2.0 * args.m * args.t / BANASZCZYK_DELTA))
     t0 = time.perf_counter()
     metrics = [
         _banaszczyk_trial(handle.substream(k), args.m, args.t, rank, args.samples)
@@ -254,7 +259,7 @@ def cmd_banaszczyk(args: argparse.Namespace) -> int:
     report = ExperimentReport(
         name="banaszczyk",
         spec={
-            "m": args.m, "t": args.t, "delta": args.delta, "rank": rank,
+            "m": args.m, "t": args.t, "delta": BANASZCZYK_DELTA, "rank": rank,
             "samples": args.samples, "trials": args.trials,
         },
         seed=asdict(handle),
@@ -333,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=5000)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--level", type=float, default=0.01)
-    p.add_argument("--cov-tol", type=float, default=0.05, dest="cov_tol")
     p.add_argument("--out", default=None, help="directory for the report files")
     p.set_defaults(func=cmd_stationarity)
 
@@ -373,8 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("banaszczyk", help="end-to-end online Gaussian-discrepancy run")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--rank", type=int, default=None)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--samples", type=int, default=20_000)
     p.add_argument("--seed", type=int, required=True)
@@ -386,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=32)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=cmd_bench)
 
     # each gen kind declares the shape and seed flags it reads, and nothing else

@@ -76,12 +76,8 @@ class WalkConfig:
 
 @dataclass
 class WalkState:
-    """Accumulator, round index, and the (advancing) random stream.
-
-    States are linear: walk_step returns a successor sharing the same
-    accumulator (updated in place) and generator, so keep using the state
-    it hands back.
-    """
+    """Accumulator, round index, and the (advancing) random stream; walk_step
+    advances all three in place."""
 
     w: np.ndarray
     t: int
@@ -135,17 +131,19 @@ def _unit(z: np.ndarray, nsq: float, gen: np.random.Generator) -> np.ndarray:
 
 def walk_step(state: WalkState, v: np.ndarray) -> tuple[np.ndarray, WalkState]:
     """Process one incoming vector; returns the emitted unit vector and the
-    successor state, whose accumulator is state.w updated in place."""
+    state it was given, advanced in place."""
     v = np.asarray(v, dtype=float)
     w = state.w
     if v.shape != w.shape[:1]:
         raise DimMismatchError(f"vector has shape {v.shape}, expected ({w.shape[0]},)")
-    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
-        nsq = float(v @ v)
+    # vdot checks no floating-point flags: an overflowing squared norm is inf,
+    # with no RuntimeWarning, and _check_norms rejects it
+    nsq = float(np.vdot(v, v))
     _check_norms([nsq], v[:, None], state.t)
     u = _unit(w.T @ v, nsq, state.rng)
     w += v[:, None] * u
-    return u, WalkState(w=w, t=state.t + 1, rng=state.rng)
+    state.t += 1
+    return u, state
 
 
 def walk_run(config: WalkConfig, vs: np.ndarray) -> WalkRun:

@@ -59,6 +59,16 @@ def test_step_zero_vector():
     assert nxt.t == 1
 
 
+def test_step_advances_the_state_it_is_given():
+    # one state object per run: w, t and the generator advance together, so
+    # no older handle is left with a stale round index
+    state = walk_init(WalkConfig(m=3, r=2, seed=RngHandle(1)))
+    for t in range(1, 4):
+        _, nxt = walk_step(state, np.array([0.6, 0.0, 0.8]))
+        assert nxt is state
+        assert state.t == t
+
+
 def test_step_rejects_long_vectors():
     state = walk_init(WalkConfig(m=2, r=2, seed=RngHandle(1)))
     with pytest.raises(NormTooLargeError):
