@@ -18,14 +18,7 @@ from .evals import (
     vdisc_objective_units,
 )
 from .instances import unit_columns
-from .kernel import (
-    KernelParams,
-    advance_chain_batch,
-    kernel_step,
-    kernel_step_batch,
-    run_chain,
-    slice_sample,
-)
+from .kernel import advance_chain_batch, kernel_step, kernel_step_batch, slice_sample
 from .linalg import (
     check_correlation,
     check_psd,

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chilaw import ChiLaw, chi_cdf
+from .chilaw import ChiLaw, chi_cdf, sigma_star
 from .errors import DimMismatchError, DiscforgeError, NotPsdError
 from .evals import (
     discG_mc,
@@ -32,7 +32,7 @@ from .evals import (
     vdisc_objective_units,
 )
 from .instances import unit_columns
-from .kernel import KernelParams, advance_chain_batch
+from .kernel import advance_chain_batch
 from .linalg import check_correlation, read_matrix, write_matrix
 from .report import (
     PASS_FRACTION, SCHEMA_VERSION, ExperimentReport, check_trials, strict_json, verdict,
@@ -92,6 +92,7 @@ def _read_correlation(path: str) -> np.ndarray:
 
 
 def cmd_walk(args: argparse.Namespace) -> int:
+    sigma_star(args.rank)  # a rank below 2 is rejected before the input is read
     vs = read_matrix(args.input)
     config = WalkConfig(m=vs.shape[0], r=args.rank, seed=RngHandle(args.seed))
     t0 = time.perf_counter()
@@ -141,13 +142,13 @@ def cmd_stationarity(args: argparse.Namespace) -> int:
         args.runs >= COV_MIN_SAMPLES, "--runs", f"be at least {COV_MIN_SAMPLES}", args.runs
     )
     _check_flag(args.steps >= 1, "--steps", "be at least 1", args.steps)
+    sigma_star(args.r)  # a rank below 2 is rejected before any draw
     handle = RngHandle(args.seed)
     sigma2 = args.sigma * args.sigma
-    params = KernelParams(args.r, sigma2)
     gen = handle.generator()
     x0 = args.sigma * gen.standard_normal((args.runs, args.r))
     t0 = time.perf_counter()
-    xs = advance_chain_batch(params, x0, args.steps, gen)
+    xs = advance_chain_batch(sigma2, x0, args.steps, gen)
     elapsed = time.perf_counter() - t0
     law = ChiLaw(args.r, sigma2)
     radius = ks_test(np.linalg.norm(xs, axis=1), lambda s: chi_cdf(law, s))

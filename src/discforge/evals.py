@@ -74,7 +74,9 @@ def check_spherical(x: np.ndarray) -> np.ndarray:
     if x.ndim != 1:
         raise DimMismatchError(f"expected a vector, got shape {x.shape}")
     target = math.sqrt(x.shape[0])
-    if abs(float(np.linalg.norm(x)) - target) > UNIT_ATOL * max(1.0, target):
+    if not abs(float(np.linalg.norm(x)) - target) <= UNIT_ATOL * max(1.0, target):
+        if not np.isfinite(x).all():
+            raise ValueError("point has non-finite entries")
         raise NotUnitError(f"||x|| must equal sqrt({x.shape[0]})")
     return x
 
@@ -358,6 +360,8 @@ def triangle_rank2(
     with nonnegative vertical component) and each coordinate takes its
     block's direction times sign(a_j)."""
     a = np.asarray(a, dtype=float).ravel()
+    if not np.isfinite(a).all():
+        raise ValueError("coefficients have non-finite entries")
     n = a.shape[0]
     if blocks is None:
         blocks = _default_blocks(n)

@@ -7,11 +7,14 @@ the next point keeps either the current radius (a uniform point of the
 slice at radius t) or reflects to radius 1-t (the step -x/t when x is
 nonzero). The reflection weight chi(1-t)/chi(t) is a probability exactly
 when the variance parameter is at least sigma_star(r)^2.
+
+Each transition takes the variance sigma2 and reads the dimension r from
+its state, and each checks sigma2 against the floor once, on entry, before
+it draws anything.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,34 +22,30 @@ from .chilaw import sigma_star
 from .errors import BadVarianceError, DimMismatchError, InfeasibleSliceError
 
 __all__ = [
-    "KernelParams",
     "slice_sample",
     "kernel_step",
-    "run_chain",
     "kernel_step_batch",
     "advance_chain_batch",
 ]
 
-# Additive slack for the feasibility interval and the mixture-weight clamp.
+# Additive slack for the feasibility interval.
 FEAS_ATOL = 1e-12
-CLAMP_TOL = 1e-9
+# Relative slack below the variance floor sigma_star(r)^2. It admits the
+# walk's sigma_star^2 / ||v||^2 at ||v|| = 1 + walk.NORM_SLACK (2e-12 below
+# the floor), and at sigma2 = floor * (1 - delta) the reflection weight
+# exceeds 1 by at most (4/3)(r - 1) delta^(3/2): 4e-11 at r = 10^6.
+FLOOR_RTOL = 1e-11
 # Retries when a Gaussian draw lands (numerically) parallel to the axis.
 MAX_REDRAWS = 100
 
 
-@dataclass(frozen=True)
-class KernelParams:
-    """Dimension r >= 2 and variance sigma2 >= sigma_star(r)^2."""
-
-    r: int
-    sigma2: float
-
-    def __post_init__(self) -> None:
-        floor = sigma_star(self.r) ** 2  # raises RankTooSmallError for r < 2
-        if not self.sigma2 >= floor - 1e-12:  # also true for nan
-            raise BadVarianceError(
-                f"sigma2={self.sigma2} below the admissible floor {floor} for r={self.r}"
-            )
+def _check_variance(r: int, sigma2: float) -> None:
+    """Reject a variance below sigma_star(r)^2 (up to FLOOR_RTOL) or nan;
+    an infinite one, which the walk passes for a vector below
+    ||v|| ~ 1e-155, is admitted."""
+    floor = sigma_star(r) ** 2  # raises RankTooSmallError for r < 2
+    if not sigma2 >= floor * (1.0 - FLOOR_RTOL):  # also true for nan
+        raise BadVarianceError(f"sigma2={sigma2} below the admissible floor {floor} for r={r}")
 
 
 def _axis_offset(norm_x: float, s: float) -> float:
@@ -112,55 +111,45 @@ def slice_sample(x: np.ndarray, s: float, gen: np.random.Generator) -> np.ndarra
     return lam * x_hat + math.sqrt(ortho) * _orthogonal_unit(x_hat, gen)
 
 
-def _reflection_weight(params: KernelParams, t: float) -> float:
-    """Mixture weight chi(1-t)/chi(t) for t in [1/2, 1), clamped to [0, 1]."""
-    p = math.exp(
-        (params.r - 1.0) * (math.log1p(-t) - math.log(t))
-        + (2.0 * t - 1.0) / (2.0 * params.sigma2)
-    )
-    if p > 1.0 + CLAMP_TOL:
-        raise BadVarianceError(
-            f"reflection weight {p:.6g} exceeds 1 at radius {t:.6g}; variance too small"
-        )
-    return min(p, 1.0)
+def _reflection_weight(r: int, sigma2: float, t: float) -> float:
+    """Mixture weight chi(1-t)/chi(t) for t in [1/2, 1), unclamped: at a
+    variance _check_variance admits, it exceeds 1 by at most
+    (4/3)(r - 1) FLOOR_RTOL^(3/2)."""
+    return math.exp((r - 1.0) * (math.log1p(-t) - math.log(t)) + (2.0 * t - 1.0) / (2.0 * sigma2))
 
 
-def kernel_step(params: KernelParams, x: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Unit increment u of one kernel transition; the next state is x + u.
+def kernel_step(sigma2: float, x: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """Unit increment u of one kernel transition from the state x in R^r;
+    the next state is x + u.
 
     A state with a nan or inf entry has a nan or inf norm, which only the
     slide branch can see; it raises ValueError there.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (params.r,):
-        raise DimMismatchError(f"state has shape {x.shape}, expected ({params.r},)")
+    if x.ndim != 1:
+        raise DimMismatchError(f"state has shape {x.shape}, expected a vector")
+    r = x.shape[0]
+    _check_variance(r, sigma2)
     t = _norm(x)
     if t == 0.0:
         return slice_sample(x, 1.0, gen)
-    if t < 0.5 or (t < 1.0 and gen.random() < _reflection_weight(params, t)):
+    if t < 0.5 or (t < 1.0 and gen.random() < min(_reflection_weight(r, sigma2, t), 1.0)):
         return x / -t
     if not math.isfinite(t):
         raise ValueError(f"state has non-finite norm {t}")
     return slice_sample(x, t, gen)
 
 
-def run_chain(
-    params: KernelParams, x0: np.ndarray, steps: int, gen: np.random.Generator
-) -> np.ndarray:
-    """Trajectory of steps+1 points starting at x0; rows are states."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (params.r,):
-        raise DimMismatchError(f"x0 has shape {x0.shape}, expected ({params.r},)")
-    traj = np.empty((steps + 1, params.r))
-    traj[0] = x0
-    for k in range(steps):
-        traj[k + 1] = traj[k] + kernel_step(params, traj[k], gen)
-    return traj
+def _check_batch(sigma2: float, xs: np.ndarray) -> np.ndarray:
+    """xs as a float N x r batch of states, and sigma2 checked for its r."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2:
+        raise DimMismatchError(f"batch has shape {xs.shape}, expected (N, r)")
+    _check_variance(xs.shape[1], sigma2)
+    return xs
 
 
-def kernel_step_batch(
-    params: KernelParams, xs: np.ndarray, gen: np.random.Generator
-) -> np.ndarray:
+def kernel_step_batch(sigma2: float, xs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Unit increments (rows) of one kernel step from each state (row) of xs.
 
     Distributionally identical to mapping kernel_step over the rows, but
@@ -168,10 +157,8 @@ def kernel_step_batch(
     (at the origin, or whose slide draw is parallel to x) go through the
     scalar slice code. A row whose norm is not finite raises ValueError.
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != params.r:
-        raise DimMismatchError(f"batch has shape {xs.shape}, expected (N, {params.r})")
-    n = xs.shape[0]
+    xs = _check_batch(sigma2, xs)
+    n, r = xs.shape
     t = np.linalg.norm(xs, axis=1)
     if not np.isfinite(t).all():
         raise ValueError("batch has a row with a non-finite norm")
@@ -181,12 +168,7 @@ def kernel_step_batch(
     p = np.zeros(n)
     p[t < 0.5] = 1.0
     tm = t[mid]
-    pm = np.exp(
-        (params.r - 1.0) * (np.log1p(-tm) - np.log(tm))
-        + (2.0 * tm - 1.0) / (2.0 * params.sigma2)
-    )
-    if float(pm.max(initial=0.0)) > 1.0 + CLAMP_TOL:
-        raise BadVarianceError("reflection weight exceeds 1; variance too small")
+    pm = np.exp((r - 1.0) * (np.log1p(-tm) - np.log(tm)) + (2.0 * tm - 1.0) / (2.0 * sigma2))
     p[mid] = np.minimum(pm, 1.0)
 
     coin = gen.random(n)
@@ -218,11 +200,11 @@ def kernel_step_batch(
 
 
 def advance_chain_batch(
-    params: KernelParams, x0s: np.ndarray, steps: int, gen: np.random.Generator
+    sigma2: float, x0s: np.ndarray, steps: int, gen: np.random.Generator
 ) -> np.ndarray:
-    """Run N independent chains for the given number of steps; returns the
-    final states only."""
-    xs = np.asarray(x0s, dtype=float).copy()
+    """Run N independent chains (the rows of x0s) for the given number of
+    steps; returns the final states only."""
+    xs = _check_batch(sigma2, x0s).copy()
     for _ in range(steps):
-        xs += kernel_step_batch(params, xs, gen)
+        xs += kernel_step_batch(sigma2, xs, gen)
     return xs

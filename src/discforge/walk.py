@@ -27,7 +27,7 @@ import numpy as np
 from .chilaw import sigma_star
 from .errors import DimMismatchError, InconsistentStreamError, NormTooLargeError
 from .evals import coupling_from_units
-from .kernel import KernelParams, kernel_step
+from .kernel import kernel_step
 from .linalg import check_correlation, psd_cholesky, slice_plan
 from .rng import RngHandle
 
@@ -114,9 +114,9 @@ def _check_norms(nsq: list[float], vs: np.ndarray, t0: int) -> None:
             raise NormTooLargeError(f"||v_{t0 + j}|| = {norm:.12g} exceeds 1")
 
 
-def _unit(z: np.ndarray, nsq: float, gen: np.random.Generator) -> np.ndarray:
-    """The unit vector emitted for a vector v with z = W^T v and ||v||^2 = nsq;
-    the one round rule of walk_step and walk_run.
+def _unit(z: np.ndarray, nsq: float, s2: float, gen: np.random.Generator) -> np.ndarray:
+    """The unit vector emitted for a vector v with z = W^T v and ||v||^2 = nsq,
+    for s2 = sigma_star(r)^2; the one round rule of walk_step and walk_run.
 
     A zero vector contributes nothing to the accumulator, so it is answered
     with the fixed unit vector e_1 without consuming randomness.
@@ -126,7 +126,7 @@ def _unit(z: np.ndarray, nsq: float, gen: np.random.Generator) -> np.ndarray:
         u = np.zeros(r)
         u[0] = 1.0
         return u
-    return kernel_step(KernelParams(r, sigma_star(r) ** 2 / nsq), z / nsq, gen)
+    return kernel_step(s2 / nsq, z / nsq, gen)
 
 
 def walk_step(state: WalkState, v: np.ndarray) -> tuple[np.ndarray, WalkState]:
@@ -140,7 +140,7 @@ def walk_step(state: WalkState, v: np.ndarray) -> tuple[np.ndarray, WalkState]:
     # with no RuntimeWarning, and _check_norms rejects it
     nsq = float(np.vdot(v, v))
     _check_norms([nsq], v[:, None], state.t)
-    u = _unit(w.T @ v, nsq, state.rng)
+    u = _unit(w.T @ v, nsq, sigma_star(w.shape[1]) ** 2, state.rng)
     w += v[:, None] * u
     state.t += 1
     return u, state
@@ -187,6 +187,7 @@ def walk_run(config: WalkConfig, vs: np.ndarray) -> WalkRun:
     big_t = vs.shape[1]
     state = walk_init(config)
     gen = state.rng
+    s2 = sigma_star(r) ** 2
     b = min(max(r, BLOCK_MIN), BLOCK_MAX)
     buf = np.zeros((m, r + b + r), order="F")
     w, vblk, delta = buf[:, :r], buf[:, r : r + b], buf[:, r + b :]  # delta: signed sum
@@ -215,7 +216,7 @@ def walk_run(config: WalkConfig, vs: np.ndarray) -> WalkRun:
         nsq = g.diagonal()[:width].tolist()
         _check_norms(nsq, vblk, start)
         for j in range(width):
-            ublk[j] = _unit(z[j] + g[j, :j] @ ublk[:j], nsq[j], gen)
+            ublk[j] = _unit(z[j] + g[j, :j] @ ublk[:j], nsq[j], s2, gen)
         us[start : start + width] = ublk[:width]
         np.multiply(ublk @ ublk.T, upper2, out=coef[:b])
         np.multiply(ublk.T, 2.0, out=coef[b:])

@@ -26,7 +26,6 @@ from discforge.evals import (
 )
 from discforge.instances import unit_columns
 from discforge.kernel import (
-    KernelParams,
     advance_chain_batch,
     kernel_step,
     kernel_step_batch,
@@ -63,7 +62,7 @@ def test_criterion_01_kernel_unit_increments():
     worst = 0.0
     total = 0
     for r in (2, 3, 8):
-        params = KernelParams(r, (1.25 * sigma_star(r)) ** 2)
+        sigma2 = (1.25 * sigma_star(r)) ** 2
         gen = SEED.substream(100 + r).generator()
         # radii spread over all three kernel branches, incl. boundaries
         n_batch, n_scalar = 294_000, 40_000
@@ -76,12 +75,12 @@ def test_criterion_01_kernel_unit_increments():
         dirs = gen.standard_normal((n_batch, r))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         xs = radii[:, None] * dirs
-        us = kernel_step_batch(params, xs, gen)
+        us = kernel_step_batch(sigma2, xs, gen)
         worst = max(worst, float(np.abs(np.linalg.norm(us, axis=1) - 1.0).max()))
         total += n_batch
         for i in range(n_scalar):
             x = xs[i % n_batch]
-            u = kernel_step(params, x, gen)
+            u = kernel_step(sigma2, x, gen)
             dev = abs(float(np.linalg.norm(u)) - 1.0)
             if dev > worst:
                 worst = dev
@@ -97,10 +96,9 @@ def test_criterion_02_stationarity_marginal():
     """From a stationary start, the time-100 marginal matches the law."""
     t0 = time.perf_counter()
     r, sigma, runs, steps = 2, 0.5, 5000, 100
-    params = KernelParams(r, sigma * sigma)
     gen = SEED.substream(2).generator()
     x0 = sigma * gen.standard_normal((runs, r))
-    xs = advance_chain_batch(params, x0, steps, gen)
+    xs = advance_chain_batch(sigma * sigma, x0, steps, gen)
     law = ChiLaw(r, sigma * sigma)
     ks_radius = ks_test(np.linalg.norm(xs, axis=1), lambda s: chi_cdf(law, s))
     assert ks_radius.p_value >= 0.01

@@ -12,7 +12,7 @@ import pytest
 import discforge
 from discforge.cli import bench_per_round, build_parser, main
 from discforge.evals import discs_objective, vdisc_objective
-from discforge.kernel import KernelParams, advance_chain_batch
+from discforge.kernel import advance_chain_batch
 from discforge.linalg import read_matrix, write_matrix
 from discforge.rng import RngHandle
 from discforge.rounding import make_planted
@@ -395,7 +395,7 @@ def test_stationarity_verdicts_match_scipy_stats(tmp_path):
     # the same chains, tested with the scipy.stats forms of the two laws
     gen = RngHandle(seed).generator()
     x0 = sigma * gen.standard_normal((runs, r))
-    xs = advance_chain_batch(KernelParams(r, sigma * sigma), x0, steps, gen)
+    xs = advance_chain_batch(sigma * sigma, x0, steps, gen)
     expected = {"ks_radius": kstest(np.linalg.norm(xs, axis=1), chi(r, scale=sigma).cdf, method="asymp")}
     for j in range(r):
         expected[f"ks_coordinate_{j}"] = kstest(xs[:, j], norm(scale=sigma).cdf, method="asymp")
@@ -517,11 +517,17 @@ BANASZCZYK = ["banaszczyk", "--trials", "1", "--seed", "1"]
           "--samples", "0", "--seed", "1"], "--samples"),
         (["eval", "online-discg", "--input", "missing.mat", "--stream", "missing.mat",
           "--samples", "0", "--seed", "1"], "--samples"),
+        # so is the walk's rank; the kernel's rank and variance checks run
+        # before the stationarity chain does
+        (["walk", "--input", "missing.mat", "--rank", "1", "--seed", "1", "--out", "x"], "r=1"),
+        ([*STATIONARITY, "--r", "1"], "r=1"),
+        ([*STATIONARITY, "--sigma", "0.4"], "below the admissible floor"),
     ],
     ids=[
         "bench-t-0", "bench-reps-0", "sigma-negative", "steps-negative", "steps-0",
         "runs-5", "runs-50", "banaszczyk-m-0", "banaszczyk-t-0",
         "banaszczyk-samples-0", "discg-samples-0", "online-discg-samples-0",
+        "walk-rank-1", "stationarity-r-1", "stationarity-sigma-below-floor",
     ],
 )
 def test_bad_input_exits_2(argv, named, capsys):

@@ -267,6 +267,9 @@ def test_evaluators_take_matrices_through_check_matrix():
         lambda: discG_mc(np.eye(2), bad, 10, RngHandle(0)),
         lambda: online_discG(bad, np.eye(2), 10, RngHandle(0)),
         lambda: random_signing_baseline(bad, 10, RngHandle(0)),
+        lambda: discs_objective(np.eye(2), np.array([np.nan, 1.0])),
+        lambda: triangle_rank2(np.array([1.0, np.nan, 1.0, 1.0, 1.0, 1.0])),
+        lambda: triangle_rank2(np.array([1.0, np.inf, 1.0, 1.0, 1.0, 1.0])),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="non-finite"):

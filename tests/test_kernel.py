@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from discforge.chilaw import ChiLaw, chi_density
+from discforge.chilaw import ChiLaw, chi_density, sigma_star
 from discforge.errors import (
     BadVarianceError,
     DimMismatchError,
@@ -13,28 +13,34 @@ from discforge.errors import (
 )
 from discforge import kernel
 from discforge.kernel import (
-    KernelParams,
+    FLOOR_RTOL,
     advance_chain_batch,
     kernel_step,
     kernel_step_batch,
-    run_chain,
     slice_sample,
 )
 from discforge.rng import RngHandle
 
 
 def test_params_validation():
-    KernelParams(2, 0.25)
-    KernelParams(2, 0.25 - 1e-13)  # inside the slack
-    with pytest.raises(BadVarianceError):
-        KernelParams(2, 0.2)
-    # a nan variance would never reflect; an infinite one is what the walk
-    # builds for a vector below ||v|| ~ 1e-155
-    with pytest.raises(BadVarianceError):
-        KernelParams(3, float("nan"))
-    KernelParams(3, math.inf)
-    with pytest.raises(RankTooSmallError):
-        KernelParams(1, 5.0)
+    # the variance is checked against the floor of the state's own r, in
+    # the scalar and the batch step alike
+    steps = [
+        lambda s2, r: kernel_step(s2, np.full(r, 0.3), RngHandle(0).generator()),
+        lambda s2, r: kernel_step_batch(s2, np.full((2, r), 0.3), RngHandle(0).generator()),
+    ]
+    for step in steps:
+        step(0.25, 2)
+        step(0.25 - 1e-13, 2)  # inside the slack
+        with pytest.raises(BadVarianceError):
+            step(0.2, 2)
+        # a nan variance would never reflect; an infinite one is what the
+        # walk builds for a vector below ||v|| ~ 1e-155
+        with pytest.raises(BadVarianceError):
+            step(float("nan"), 3)
+        step(math.inf, 3)
+        with pytest.raises(RankTooSmallError):
+            step(5.0, 1)
 
 
 def test_slice_feasible_examples():
@@ -114,17 +120,16 @@ def test_state_norm_measured_once_per_call(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     x = np.array([1.2, 1.6, 0.0])  # radius 2: the kernel slides
-    u = kernel_step(KernelParams(3, 1.0 / 8.0), x, gen)
+    u = kernel_step(1.0 / 8.0, x, gen)
     assert abs(np.linalg.norm(x + u) - 2.0) <= 1e-12
     assert len(calls) == 2
 
 
 def test_kernel_step_inner_branch():
-    params = KernelParams(2, 0.25)
     gen = RngHandle(1).generator()
     x = np.array([0.25, 0.0])
     for _ in range(10):
-        y = x + kernel_step(params, x, gen)
+        y = x + kernel_step(0.25, x, gen)
         assert abs(np.linalg.norm(y) - 0.75) < 1e-9
         assert abs(np.linalg.norm(y - x) - 1.0) < 1e-9
 
@@ -135,38 +140,42 @@ def test_kernel_step_at_origin_is_a_uniform_unit_vector():
 
     draws = 4000
     gen = RngHandle(14).generator()
-    us = np.array([kernel_step(KernelParams(2, 0.25), np.zeros(2), gen) for _ in range(draws)])
+    us = np.array([kernel_step(0.25, np.zeros(2), gen) for _ in range(draws)])
     assert np.abs(np.linalg.norm(us, axis=1) - 1.0).max() < 1e-12
     angles = np.arctan2(us[:, 1], us[:, 0])
     assert ks_test(angles, lambda v: (v + math.pi) / (2.0 * math.pi)).p_value >= 0.01
     gen = RngHandle(15).generator()
-    us = np.array([kernel_step(KernelParams(3, 0.25), np.zeros(3), gen) for _ in range(draws)])
+    us = np.array([kernel_step(0.25, np.zeros(3), gen) for _ in range(draws)])
     assert np.abs(np.linalg.norm(us, axis=1) - 1.0).max() < 1e-12
     # each coordinate of a uniform unit vector in R^3 has variance 1/3
     assert np.abs(us.mean(axis=0)).max() <= 3.0 * math.sqrt(1.0 / 3.0 / draws)
 
 
 def test_kernel_step_outer_branch_preserves_radius():
-    params = KernelParams(2, 0.25)
     gen = RngHandle(2).generator()
     x = np.array([2.0, 0.0])
     for _ in range(10):
-        y = x + kernel_step(params, x, gen)
+        y = x + kernel_step(0.25, x, gen)
         assert abs(np.linalg.norm(y) - 2.0) < 1e-9
         x = y
 
 
 def test_kernel_step_dimension_check():
+    # r is the state's length, so only the number of axes can be wrong
+    gen = RngHandle(0).generator()
     with pytest.raises(DimMismatchError):
-        kernel_step(KernelParams(3, 1.0), np.zeros(2), RngHandle(0).generator())
+        kernel_step(1.0, np.zeros((1, 3)), gen)
+    with pytest.raises(DimMismatchError):
+        kernel_step_batch(1.0, np.zeros(3), gen)
+    with pytest.raises(DimMismatchError):
+        advance_chain_batch(1.0, np.zeros(3), 1, gen)
 
 
 def test_kernel_step_mixture_weight_matches_density_ratio():
     r, sigma2, t = 2, 0.25, 0.6
-    params = KernelParams(r, sigma2)
     x = np.full((100_000, r), 0.0)
     x[:, 0] = t
-    ys = x + kernel_step_batch(params, x, RngHandle(3).generator())
+    ys = x + kernel_step_batch(sigma2, x, RngHandle(3).generator())
     radii = np.linalg.norm(ys, axis=1)
     frac = float(np.mean(np.abs(radii - (1.0 - t)) < 1e-9))
     law = ChiLaw(r, sigma2)
@@ -187,48 +196,54 @@ def test_double_reflection_is_identity():
     assert np.allclose(reflect(reflect(x)), x, atol=1e-12)
 
 
-def test_run_chain_contracts():
-    params = KernelParams(3, 1.0 / 8.0)
-    traj = run_chain(params, np.array([0.1, 0.2, 0.2]), 0, RngHandle(4).generator())
+def chain(sigma2, x0, steps, gen):
+    """Trajectory of steps + 1 states (rows) from x0 by repeated kernel_step."""
+    traj = np.empty((steps + 1, len(x0)))
+    traj[0] = x0
+    for k in range(steps):
+        traj[k + 1] = traj[k] + kernel_step(sigma2, traj[k], gen)
+    return traj
+
+
+def test_kernel_chain_contracts():
+    traj = chain(1.0 / 8.0, np.array([0.1, 0.2, 0.2]), 0, RngHandle(4).generator())
     assert traj.shape == (1, 3)
-    traj = run_chain(params, np.array([0.1, 0.2, 0.2]), 200, RngHandle(4).generator())
+    traj = chain(1.0 / 8.0, np.array([0.1, 0.2, 0.2]), 200, RngHandle(4).generator())
     assert traj.shape == (201, 3)
     steps = np.linalg.norm(np.diff(traj, axis=0), axis=1)
     assert np.abs(steps - 1.0).max() <= 1e-9
 
 
-def test_run_chain_stationary_marginal():
+def test_kernel_chain_stationary_marginal():
     # scalar-path version of the big stationarity experiment: chains
     # started from the stationary law keep it at a later fixed time
     from discforge.chilaw import ChiLaw, chi_cdf
     from discforge.stats import ks_test
 
     r, sigma = 2, 0.5
-    params = KernelParams(r, sigma * sigma)
     gen = RngHandle(10).generator()
     finals = np.empty((700, r))
     for k in range(finals.shape[0]):
         x0 = sigma * gen.standard_normal(r)
-        finals[k] = run_chain(params, x0, 40, gen)[-1]
+        finals[k] = chain(sigma * sigma, x0, 40, gen)[-1]
     law = ChiLaw(r, sigma * sigma)
     res = ks_test(np.linalg.norm(finals, axis=1), lambda s: chi_cdf(law, s))
     assert res.p_value >= 0.01
 
 
-def test_run_chain_outer_start_keeps_radius():
-    params = KernelParams(2, 0.25)
+def test_kernel_chain_outer_start_keeps_radius():
     x0 = np.array([1.2, 1.6])  # radius 2
-    traj = run_chain(params, x0, 100, RngHandle(5).generator())
+    traj = chain(0.25, x0, 100, RngHandle(5).generator())
     assert np.abs(np.linalg.norm(traj, axis=1) - 2.0).max() < 1e-9
 
 
 def test_batch_matches_scalar_in_law():
-    params = KernelParams(3, 1.0 / 8.0)
+    sigma2 = 1.0 / 8.0
     gen = RngHandle(6).generator()
     x0 = 0.9 * gen.standard_normal((4000, 3))
-    batch = x0 + kernel_step_batch(params, x0, RngHandle(7).generator())
+    batch = x0 + kernel_step_batch(sigma2, x0, RngHandle(7).generator())
     scalar = x0 + np.array(
-        [kernel_step(params, x0[i], gen) for i in range(x0.shape[0])]
+        [kernel_step(sigma2, x0[i], gen) for i in range(x0.shape[0])]
     )
     # same start population: compare radius distributions after one step
     res = ks_2samp(np.linalg.norm(batch, axis=1), np.linalg.norm(scalar, axis=1))
@@ -237,13 +252,12 @@ def test_batch_matches_scalar_in_law():
 
 
 def test_advance_chain_batch_shape():
-    params = KernelParams(2, 0.25)
-    out = advance_chain_batch(params, np.zeros((10, 2)), 5, RngHandle(8).generator())
+    out = advance_chain_batch(0.25, np.zeros((10, 2)), 5, RngHandle(8).generator())
     assert out.shape == (10, 2)
     # origin rows interleaved with reflecting, mixed and sliding rows
     xs = np.zeros((8, 2))
     xs[1::2] = [[0.3, 0.0], [0.0, -0.7], [1.5, 2.0], [-0.4, 0.4]]
-    us = kernel_step_batch(params, xs, RngHandle(10).generator())
+    us = kernel_step_batch(0.25, xs, RngHandle(10).generator())
     assert np.abs(np.linalg.norm(us, axis=1) - 1.0).max() <= 1e-12
     from_origin = {tuple(u) for u in us[::2]}
     assert len(from_origin) == 4
@@ -254,23 +268,49 @@ def test_advance_chain_batch_shape():
 )
 def test_kernel_step_rejects_non_finite_state(x):
     with pytest.raises(ValueError, match="non-finite"):
-        kernel_step(KernelParams(3, 1.0 / 8.0), np.array(x), RngHandle(12).generator())
+        kernel_step(1.0 / 8.0, np.array(x), RngHandle(12).generator())
 
 
 def test_kernel_step_batch_rejects_non_finite_rows():
     xs = np.array([[0.3, 0.0], [1.5, 2.0], [np.nan, 0.0], [0.0, np.inf]])
-    params = KernelParams(2, 0.25)
     for rows in (xs[[0, 1, 2]], xs[[0, 1, 3]]):
         with pytest.raises(ValueError, match="non-finite"):
-            kernel_step_batch(params, rows, RngHandle(13).generator())
+            kernel_step_batch(0.25, rows, RngHandle(13).generator())
 
 
 def test_bad_variance_rejected_at_step():
-    # construct params bypassing validation to hit the runtime guard
-    params = KernelParams.__new__(KernelParams)
-    object.__setattr__(params, "r", 2)
-    object.__setattr__(params, "sigma2", 0.1)
+    # at sigma2 = 0.1 < sigma_star(2)^2 the weight at radius 0.6 would exceed 1
     with pytest.raises(BadVarianceError):
-        kernel_step(params, np.array([0.6, 0.0]), RngHandle(9).generator())
+        kernel_step(0.1, np.array([0.6, 0.0]), RngHandle(9).generator())
     with pytest.raises(BadVarianceError):
-        kernel_step_batch(params, np.array([[0.6, 0.0]]), RngHandle(9).generator())
+        kernel_step_batch(0.1, np.array([[0.6, 0.0]]), RngHandle(9).generator())
+    with pytest.raises(BadVarianceError):
+        advance_chain_batch(0.1, np.array([[0.6, 0.0]]), 1, RngHandle(9).generator())
+
+
+def test_variance_just_below_the_floor_rejected_before_any_draw():
+    # an absolute slack of 1e-12 is 1.6e-8 of the floor at r = 4096, where
+    # the weight at radius 0.500064 exceeds 1 by about 1e-8; the relative
+    # slack rejects that variance before the coin is drawn
+    r = 4096
+    sigma2 = sigma_star(r) ** 2 - 1e-12
+    x = np.zeros(r)
+    x[0] = 0.500064
+    gen = RngHandle(16).generator()
+    with pytest.raises(BadVarianceError):
+        kernel_step(sigma2, x, gen)
+    with pytest.raises(BadVarianceError):
+        kernel_step_batch(sigma2, x[None, :], gen)
+    # the generator is where a fresh one starts
+    assert gen.random() == RngHandle(16).generator().random()
+
+
+@pytest.mark.parametrize("r", [2, 11, 4096, 10**6])
+def test_reflection_weight_at_the_slack_floor_stays_a_probability(r):
+    # at sigma2 = floor (1 - delta) the weight peaks near t = 1/2 + sqrt(delta)/2,
+    # 1 + (4/3)(r - 1) delta^(3/2) there
+    delta = FLOOR_RTOL
+    sigma2 = sigma_star(r) ** 2 * (1.0 - delta)
+    grid = np.concatenate([np.linspace(0.5, 1.0, 10_001)[:-1], [0.5 + math.sqrt(delta) / 2.0]])
+    worst = max(kernel._reflection_weight(r, sigma2, float(t)) for t in grid)
+    assert worst <= 1.0 + 1e-9

@@ -75,6 +75,18 @@ def test_step_rejects_long_vectors():
         walk_step(state, np.array([1.0, 0.1]))
 
 
+@pytest.mark.parametrize("r", [2, 11, 4096])
+def test_longest_admitted_vector_passes_the_kernel_variance_check(r):
+    # ||v|| = 1 + NORM_SLACK hands the kernel sigma_star^2 / ||v||^2, about
+    # 2e-12 below the floor, which the kernel's relative slack admits
+    v = np.array([1.0 + walk.NORM_SLACK, 0.0, 0.0])
+    config = WalkConfig(m=3, r=r, seed=RngHandle(1))
+    u, _ = walk_step(walk_init(config), v)
+    assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+    run = walk_run(config, np.repeat(v[:, None], 3, axis=1))
+    assert np.abs(np.linalg.norm(run.us, axis=1) - 1.0).max() <= 1e-12
+
+
 def test_non_finite_input_is_rejected_before_the_kernel():
     config = WalkConfig(m=3, r=2, seed=RngHandle(1))
     for bad in (np.nan, np.inf):
