@@ -35,7 +35,7 @@ from .instances import unit_columns
 from .kernel import advance_chain_batch
 from .linalg import check_correlation, read_matrix, write_matrix
 from .report import (
-    PASS_FRACTION, SCHEMA_VERSION, ExperimentReport, check_trials, strict_json, verdict,
+    PASS_FRACTION, ExperimentReport, check_trials, strict_json, verdict, write_json, write_jsonl,
 )
 from .rng import RngHandle
 from .rounding import make_planted, rounding_experiment
@@ -59,18 +59,11 @@ def _digest(*paths: str) -> str:
     return h.hexdigest()
 
 
-def _emit(args: argparse.Namespace, payload: dict) -> None:
-    text = strict_json(payload, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    print(text)
-
-
-def _finish(args: argparse.Namespace, report: ExperimentReport) -> int:
-    """Save the report when --out is given, print its summary, and exit 0
-    on a statistical pass, 1 otherwise."""
-    if args.out:
-        report.save(args.out)
+def _finish(report: ExperimentReport, out_dir: str | None = None) -> int:
+    """Save the report under out_dir when one is given, print its summary,
+    and exit 0 on a statistical pass, 1 otherwise."""
+    if out_dir:
+        report.save(out_dir)
     print(strict_json(report.to_summary_dict(), indent=2, sort_keys=True))
     return 0 if report.passed else 1
 
@@ -98,38 +91,27 @@ def cmd_walk(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     run = walk_run(config, vs)
     elapsed = time.perf_counter() - t0
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_matrix(out_dir / "stream.mat", run.us)
-    lines = [
-        strict_json(
+    report = ExperimentReport(
+        name="walk",
+        spec={"input": str(args.input), "m": vs.shape[0], "t": vs.shape[1], "rank": args.rank},
+        seed=asdict(config.seed),
+        metrics=[
             {
                 "round": t + 1,
                 "disc_2inf": float(run.running_max[t]),
                 "max_row_norm": float(run.row_norms[t]),
-            },
-            sort_keys=True,
-        )
-        for t in range(run.us.shape[0])
-    ]
-    (out_dir / "metrics.jsonl").write_text(
-        "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8"
+            }
+            for t in range(run.us.shape[0])
+        ],
+        summary={"final_disc_2inf": float(run.running_max[-1]) if run.us.shape[0] else 0.0},
+        timings={"total_seconds": elapsed},
     )
-    summary = {
-        "schema": SCHEMA_VERSION,
-        "experiment": "walk",
-        "spec": {"input": str(args.input), "m": vs.shape[0], "t": vs.shape[1], "rank": args.rank},
-        "seed": asdict(config.seed),
-        "summary": {
-            "final_disc_2inf": float(run.running_max[-1]) if run.us.shape[0] else 0.0
-        },
-        "timings": {"total_seconds": elapsed},
-    }
-    (out_dir / "walk.json").write_text(
-        strict_json(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(strict_json(summary["summary"], sort_keys=True))
-    return 0
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_matrix(out_dir / "stream.mat", run.us)
+    write_jsonl(out_dir / "metrics.jsonl", report.metrics)
+    write_json(out_dir / "walk.json", report.to_summary_dict())
+    return _finish(report)
 
 
 def cmd_stationarity(args: argparse.Namespace) -> int:
@@ -172,7 +154,7 @@ def cmd_stationarity(args: argparse.Namespace) -> int:
         verdicts=verdicts,
         timings={"total_seconds": elapsed},
     )
-    return _finish(args, report)
+    return _finish(report, args.out)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -204,26 +186,22 @@ def cmd_eval(args: argparse.Namespace) -> int:
         read = _read_correlation if op == "discg" else read_matrix
         est = evaluate(a, read(path), args.samples, RngHandle(args.seed))
         value, std_error, samples, seed = est.mean, est.std_error, est.samples, asdict(est.seed)
-    _emit(
-        args,
-        {
-            "schema": SCHEMA_VERSION,
-            "op": op,
-            "inputs_digest": _digest(*paths),
-            "value": value,
-            "std_error": std_error,
-            "samples": samples,
-            "seed": seed,
-        },
+    report = ExperimentReport(
+        name="eval",
+        spec={"op": op, "inputs_digest": _digest(*paths), "samples": samples},
+        seed=seed,
+        summary={"value": value, "std_error": std_error},
     )
-    return 0
+    if args.out:
+        write_json(args.out, report.to_summary_dict())
+    return _finish(report)
 
 
 def cmd_rounding(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     report = rounding_experiment(args.setting, args.n, args.trials, RngHandle(args.seed))
     report.timings["total_seconds"] = time.perf_counter() - t0
-    return _finish(args, report)
+    return _finish(report, args.out)
 
 
 def _banaszczyk_trial(
@@ -274,7 +252,7 @@ def cmd_banaszczyk(args: argparse.Namespace) -> int:
         verdicts={"estimate_below_threshold": verdict(frac, PASS_FRACTION, ">=")},
         timings={"total_seconds": elapsed},
     )
-    return _finish(args, report)
+    return _finish(report, args.out)
 
 
 def bench_per_round(m: int, big_t: int, rank: int, reps: int, seed: int) -> dict:

@@ -74,7 +74,8 @@ def check_spherical(x: np.ndarray) -> np.ndarray:
     if x.ndim != 1:
         raise DimMismatchError(f"expected a vector, got shape {x.shape}")
     target = math.sqrt(x.shape[0])
-    if not abs(float(np.linalg.norm(x)) - target) <= UNIT_ATOL * max(1.0, target):
+    # math.hypot scales internally, so no square overflows for finite x
+    if not abs(math.hypot(*x.tolist()) - target) <= UNIT_ATOL * max(1.0, target):
         if not np.isfinite(x).all():
             raise ValueError("point has non-finite entries")
         raise NotUnitError(f"||x|| must equal sqrt({x.shape[0]})")

@@ -12,7 +12,10 @@ __all__ = ["unit_columns"]
 
 def unit_columns(m: int, t: int, rng: RngHandle) -> np.ndarray:
     """m x t matrix with columns uniform on the unit sphere, drawn from the
-    start of rng's stream."""
+    start of rng's stream. Raises ValueError for m < 1, where no column
+    can have unit norm."""
+    if m < 1:
+        raise ValueError(f"unit columns need m >= 1 rows, got m={m}")
     gen = rng.generator()
     cols = gen.standard_normal((m, t))
     norms = np.linalg.norm(cols, axis=0)

@@ -54,21 +54,38 @@ def check_matrix(a: np.ndarray) -> np.ndarray:
 
 
 def check_symmetric(s: np.ndarray) -> np.ndarray:
-    s = check_matrix(s)
-    n, m = s.shape
-    if n != m:
-        raise DimMismatchError(f"expected a square matrix, got {n}x{m}")
-    scale = max(float(s.max(initial=0.0)), -float(s.min(initial=0.0)), 1.0)
+    """Validate a finite square matrix whose largest |s - sT| entry is at
+    most SYM_RTOL times its largest |entry| (taken as at least 1).
+
+    The gap is measured first, and finiteness and the scale are scanned
+    only when it is above SYM_RTOL or not finite: a nan or inf entry makes
+    some gap entry non-finite, and the scale is at least 1, so no failing
+    matrix is let through.
+    """
+    s = np.asarray(s, dtype=float)
+    square = s.ndim == 2 and s.shape[0] == s.shape[1]
+    worst = _symmetry_gap(s) if square else math.inf
+    if not worst <= SYM_RTOL:
+        s = check_matrix(s)
+        n, m = s.shape
+        if n != m:
+            raise DimMismatchError(f"expected a square matrix, got {n}x{m}")
+        scale = max(float(s.max(initial=0.0)), -float(s.min(initial=0.0)), 1.0)
+        if worst > SYM_RTOL * scale:
+            raise NotPsdError("matrix is not symmetric")
+    return s
+
+
+def _symmetry_gap(s: np.ndarray) -> float:
+    """Largest |s[p, q] - s[q, p]| of a square matrix; nan when an entry is nan."""
     # panel i holds |s[p, q] - s[q, p]| for its rows p and every q >= i; an
     # entry left of the panel was measured, transposed, by an earlier one
-    worst = 0.0
-    for i in range(0, n, SYM_PANEL):
+    worst = np.float64(0.0)
+    for i in range(0, s.shape[0], SYM_PANEL):
         gap = s[i : i + SYM_PANEL, i:] - s[i:, i : i + SYM_PANEL].T
         np.abs(gap, out=gap)
-        worst = max(worst, float(gap.max(initial=0.0)))
-    if worst > SYM_RTOL * scale:
-        raise NotPsdError("matrix is not symmetric")
-    return s
+        worst = np.maximum(worst, gap.max(initial=0.0))  # keeps a nan, unlike max()
+    return float(worst)
 
 
 def check_psd(s: np.ndarray) -> np.ndarray:
@@ -96,7 +113,8 @@ def psd_cholesky(s: np.ndarray) -> np.ndarray:
     exactly rank(s) strictly positive diagonal entries and the remaining
     columns are identically zero, which makes the factor unique. Pivots
     are judged relative to trace(s)/n; a pivot below -PIVOT_RTOL times
-    that scale raises NotPsdError.
+    that scale raises NotPsdError, and so does a zero-pivot column whose
+    residual no matrix within that tolerance of PSD could leave.
 
     Runs of zero-pivot columns are skipped: a downdated residual diagonal
     points to the next column whose residual is more than half the pivot
@@ -130,7 +148,52 @@ def psd_cholesky(s: np.ndarray) -> np.ndarray:
                 resid[j + 1 :] -= l[j + 1 :, j] ** 2
         # pivot within tolerance of zero: the column stays zero
         j += 1
+    _check_zero_columns(s, l, tol)
     return l
+
+
+def _check_zero_columns(s: np.ndarray, l: np.ndarray, tol: float) -> None:
+    """Reject s unless the residual r = s - L Lt is small in every column z
+    that L left zero.
+
+    A zero pivot proves column z of r zero only when s is PSD. For a matrix
+    within tol of PSD, Cauchy-Schwarz bounds each entry below the diagonal
+    by r[i, z]^2 <= 2 tol (s[i, i] + tol); an entry past that bound raises
+    NotPsdError. r is formed from L's nonzero columns in panels of
+    SYM_PANEL rows, left of the diagonal and right of the first zero
+    column, so no n x n temporary is made.
+    """
+    pivots = np.diag(l)
+    zero = np.flatnonzero(pivots == 0.0)
+    if zero.size == 0:
+        return
+    first = int(zero[0])
+    live_after = np.flatnonzero(pivots[first:])  # offsets from first
+    f = l[:, pivots != 0.0]
+    f_t = f.T
+    # the bound's square root, taken factor by factor so that neither side
+    # of |r[i, z]| <= root[i] overflows or underflows at any scale
+    root = math.sqrt(2.0 * tol) * np.sqrt(np.maximum(np.diag(s) + tol, 0.0))
+    on_or_above = ~np.tri(SYM_PANEL, SYM_PANEL - 1, -1, dtype=bool)
+    n = s.shape[0]
+    for lo in range(first + 1, n, SYM_PANEL):
+        hi = min(lo + SYM_PANEL, n)
+        # r[i - lo, z - first] for the panel's rows i and first <= z < hi - 1
+        r = f[lo:hi] @ f_t[:, first : hi - 1]
+        np.subtract(s[lo:hi, first : hi - 1], r, out=r)
+        np.abs(r, out=r)
+        # only zero columns z < i count
+        if live_after.size:
+            r[:, live_after[live_after < hi - 1 - first]] = 0.0
+        r[:, lo - first :][on_or_above[: hi - lo, : hi - 1 - lo]] = 0.0
+        over = r.max(axis=1) > root[lo:hi]
+        if over.any():
+            j = int(np.argmax(over))
+            i, z = lo + j, first + int(np.argmax(r[j]))
+            raise NotPsdError(
+                f"residual entry ({i}, {z}) = {s[i, z] - l[i] @ l[z]:.3e} is too large "
+                "for a positive semidefinite matrix"
+            )
 
 
 def top_eigvec(s: np.ndarray, init: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ metrics, summary statistics, and pass/fail verdicts with their thresholds.
 statistical tests and experiments return numbers, and each gate is a
 verdict entry that stores its threshold next to the value it gates, so
 verdicts can be recomputed from the stored metrics. Serialization is a
-single JSON summary plus a line-delimited JSON file of raw metrics.
+single JSON summary plus a line-delimited JSON file of raw metrics, and
+``write_json`` and ``write_jsonl`` are the only writers of either form.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 __all__ = [
     "ExperimentReport",
@@ -24,6 +25,8 @@ __all__ = [
     "check_trials",
     "strict_json",
     "verdict",
+    "write_json",
+    "write_jsonl",
 ]
 
 # Share of an experiment's trials that must meet their bound for the
@@ -37,6 +40,19 @@ def strict_json(obj, **layout) -> str:
     """json.dumps with the given layout that refuses nan and inf, which
     have no JSON form (ValueError)."""
     return json.dumps(obj, allow_nan=False, **layout)
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write obj as strict JSON, keys sorted, indented by two spaces and
+    ending in a newline."""
+    Path(path).write_text(strict_json(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def write_jsonl(path: str | Path, rows) -> None:
+    """Write one strict, key-sorted JSON object per line."""
+    Path(path).write_text(
+        "".join(strict_json(row, sort_keys=True) + "\n" for row in rows), encoding="utf-8"
+    )
 
 
 def verdict(value, threshold, op: str) -> dict:
@@ -56,7 +72,7 @@ def check_trials(trials: int) -> None:
 class ExperimentReport:
     name: str
     spec: dict
-    seed: dict
+    seed: dict | None
     metrics: list[dict] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
@@ -78,15 +94,10 @@ class ExperimentReport:
         }
 
     def save(self, out_dir: str | Path) -> Path:
-        """Write {name}.json and {name}.metrics.jsonl under out_dir, as
-        strict JSON."""
-        summary = strict_json(self.to_summary_dict(), indent=2, sort_keys=True)
-        lines = [strict_json(m, sort_keys=True) for m in self.metrics]
+        """Write {name}.json and {name}.metrics.jsonl under out_dir."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         summary_path = out_dir / f"{self.name}.json"
-        summary_path.write_text(summary + "\n", encoding="utf-8")
-        (out_dir / f"{self.name}.metrics.jsonl").write_text(
-            "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8"
-        )
+        write_json(summary_path, self.to_summary_dict())
+        write_jsonl(out_dir / f"{self.name}.metrics.jsonl", self.metrics)
         return summary_path

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from discforge.cli import bench_per_round, build_parser, main
 from discforge.evals import discs_objective, vdisc_objective
 from discforge.kernel import advance_chain_batch
 from discforge.linalg import read_matrix, write_matrix
+from discforge.report import SCHEMA_VERSION
 from discforge.rng import RngHandle
 from discforge.rounding import make_planted
 from discforge.stats import holm_adjust
@@ -179,7 +181,7 @@ def test_walk_identity_stream(tmp_path):
     row = json.loads(lines[-1])
     assert set(row) == {"round", "disc_2inf", "max_row_norm"}
     summary = json.loads((out / "walk.json").read_text())
-    assert summary["schema"] == 1
+    assert summary["schema"] == SCHEMA_VERSION
 
 
 def test_walk_zero_rounds(tmp_path):
@@ -265,10 +267,10 @@ def test_eval_disc(tmp_path, capsys):
     write_matrix(mat, np.array([[1.0, 1.0], [1.0, -1.0]]))
     assert main(["eval", "disc", "--input", str(mat)]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["op"] == "disc"
-    assert payload["value"] == 2.0
-    assert payload["std_error"] is None
-    assert len(payload["inputs_digest"]) == 64
+    assert payload["spec"]["op"] == "disc"
+    assert payload["summary"]["value"] == 2.0
+    assert payload["summary"]["std_error"] is None
+    assert len(payload["spec"]["inputs_digest"]) == 64
 
 
 def test_eval_discg_and_vdisc(tmp_path, capsys):
@@ -282,14 +284,15 @@ def test_eval_discg_and_vdisc(tmp_path, capsys):
     ])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
-    assert abs(payload["value"] - math.sqrt(2.0 / math.pi)) < 4.0 * payload["std_error"]
-    assert payload["samples"] == 40000
+    value, std_error = payload["summary"]["value"], payload["summary"]["std_error"]
+    assert abs(value - math.sqrt(2.0 / math.pi)) < 4.0 * std_error
+    assert payload["spec"]["samples"] == 40000
 
     units = tmp_path / "u.mat"
     write_matrix(units, np.eye(1))
     assert main(["eval", "vdisc", "--input", str(mat), "--units", str(units)]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["value"] == 1.0
+    assert payload["summary"]["value"] == 1.0
 
 
 def test_eval_online_discg(tmp_path, capsys):
@@ -303,7 +306,7 @@ def test_eval_online_discg(tmp_path, capsys):
     ])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["value"] > 0.5
+    assert payload["summary"]["value"] > 0.5
 
 
 def test_eval_online_discg_rejects_non_unit_stream(tmp_path, capsys):
@@ -336,9 +339,10 @@ def test_eval_matches_the_library_objectives(tmp_path, capsys):
     a, coupling, point = (read_matrix(tmp_path / f"{name}.mat") for name in files)
     base = ["--input", str(tmp_path / "a.mat")]
     assert main(["eval", "discs", *base, "--point", str(tmp_path / "p.mat")]) == 0
-    assert json.loads(capsys.readouterr().out)["value"] == discs_objective(a, point.ravel())
+    value = json.loads(capsys.readouterr().out)["summary"]["value"]
+    assert value == discs_objective(a, point.ravel())
     assert main(["eval", "vdisc", *base, "--coupling", str(tmp_path / "c.mat")]) == 0
-    assert json.loads(capsys.readouterr().out)["value"] == vdisc_objective(a, coupling)
+    assert json.loads(capsys.readouterr().out)["summary"]["value"] == vdisc_objective(a, coupling)
 
 
 def test_eval_discs_rejects_a_point_file_of_more_than_one_row(tmp_path, capsys):
@@ -349,6 +353,20 @@ def test_eval_discs_rejects_a_point_file_of_more_than_one_row(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {point}: ")
+
+
+def test_eval_discs_rejects_an_overflowing_point_without_a_warning(tmp_path, capsys):
+    # ||(1e200, 1)|| is finite but its square is not
+    a, point = tmp_path / "a.mat", tmp_path / "p.mat"
+    write_matrix(a, np.ones((1, 2)))
+    point.write_text("1 2\n1e200 1\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["eval", "discs", "--input", str(a), "--point", str(point)]) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ||x|| must equal sqrt(2)\n"
 
 
 def test_eval_names_a_missing_input(tmp_path, capsys):
@@ -368,6 +386,52 @@ def test_eval_names_a_missing_input(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith(f"usage: discforge eval {op} ")
         assert missing in captured.err.splitlines()[-1]
+
+
+REPORT_KEYS = {"schema", "experiment", "spec", "seed", "summary", "verdicts", "timings"}
+
+
+def test_every_report_has_one_schema(tmp_path, capsys):
+    # every JSON file a command writes, and every report it prints, is one
+    # ExperimentReport summary
+    gen = RngHandle(20).generator()
+    u = gen.standard_normal((4, 2))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    a = gen.standard_normal((3, 4))
+    a /= np.linalg.norm(a, axis=0)  # unit columns, so the walk takes them too
+    files = {"a": a, "c": u @ u.T, "u": u, "p": np.ones((1, 4))}
+    mat = {name: str(tmp_path / f"{name}.mat") for name in files}
+    for name, arr in files.items():
+        write_matrix(mat[name], arr)
+    out = tmp_path / "out"
+    sampling = ["--samples", "100", "--seed", "1"]
+    runs = [
+        ["walk", "--input", mat["a"], "--rank", "2", "--seed", "1", "--out", str(out / "walk")],
+        ["eval", "disc", "--input", mat["a"]],
+        ["eval", "vdisc", "--input", mat["a"], "--coupling", mat["c"]],
+        ["eval", "vdisc", "--input", mat["a"], "--units", mat["u"]],
+        ["eval", "discs", "--input", mat["a"], "--point", mat["p"]],
+        ["eval", "discg", "--input", mat["a"], "--coupling", mat["c"], *sampling],
+        ["eval", "online-discg", "--input", mat["a"], "--stream", str(out / "walk" / "stream.mat"),
+         *sampling],
+        ["stationarity", "--r", "2", "--sigma", "0.5", "--runs", "100", "--steps", "5",
+         "--seed", "1"],
+        ["rounding", "--setting", "spencer", "--n", "22", "--trials", "1", "--seed", "1"],
+        ["banaszczyk", "--m", "4", "--t", "8", "--trials", "1", "--samples", "100", "--seed", "1"],
+    ]
+    for k, argv in enumerate(runs):
+        if argv[0] == "eval":
+            argv = [*argv, "--out", str(out / f"eval-{k}.json")]
+        elif argv[0] != "walk":
+            argv = [*argv, "--out", str(out / argv[0])]
+        assert main(argv) in (0, 1), argv
+        printed = json.loads(capsys.readouterr().out)
+        assert set(printed) == REPORT_KEYS, argv
+        assert printed["experiment"] == argv[0]
+    written = sorted(out.rglob("*.json"))
+    assert len(written) == len(runs)
+    for path in written:
+        assert set(json.loads(path.read_text(encoding="utf-8"))) == REPORT_KEYS, path
 
 
 def test_stationarity_passes(tmp_path):
@@ -522,12 +586,15 @@ BANASZCZYK = ["banaszczyk", "--trials", "1", "--seed", "1"]
         (["walk", "--input", "missing.mat", "--rank", "1", "--seed", "1", "--out", "x"], "r=1"),
         ([*STATIONARITY, "--r", "1"], "r=1"),
         ([*STATIONARITY, "--sigma", "0.4"], "below the admissible floor"),
+        (["gen", "random-unit-columns", "--m", "0", "--t", "3", "--seed", "1",
+          "--out", "z.mat"], "m=0"),
     ],
     ids=[
         "bench-t-0", "bench-reps-0", "sigma-negative", "steps-negative", "steps-0",
         "runs-5", "runs-50", "banaszczyk-m-0", "banaszczyk-t-0",
         "banaszczyk-samples-0", "discg-samples-0", "online-discg-samples-0",
         "walk-rank-1", "stationarity-r-1", "stationarity-sigma-below-floor",
+        "gen-unit-columns-m-0",
     ],
 )
 def test_bad_input_exits_2(argv, named, capsys):

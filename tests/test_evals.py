@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from discforge.evals import (
     PREFIX_BYTES,
     PREFIX_ROUNDS,
     SIGN_BYTES,
+    check_spherical,
     coupling_from_signing,
     coupling_from_units,
     discG_mc,
@@ -121,6 +123,14 @@ def test_vdisc_units_all_same_direction():
     assert abs(vdisc_objective_units(a, u) - np.abs(a @ np.ones(6)).max()) < 1e-12
 
 
+def test_check_spherical_measures_without_overflow():
+    # the squared norm of a finite point overflows past about 1.3e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotUnitError):
+            check_spherical(np.array([1e200, 1.0]))
+
+
 def test_discs_objective():
     # signings live on the sqrt(n) sphere
     sigma = np.array([1.0, -1.0, -1.0, 1.0])
@@ -145,6 +155,15 @@ def test_discg_scalar_instance():
     assert abs(est.mean - ROOT_2_OVER_PI) <= 3.0 * est.std_error
     est = discG_mc(np.zeros((2, 3)), np.eye(3), 1000, RngHandle(31))
     assert est.mean == 0.0
+
+
+@pytest.mark.parametrize("sigma", [
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]),
+], ids=["swap", "path"])
+def test_discg_rejects_indefinite_behind_a_zero_pivot(sigma):
+    with pytest.raises(NotPsdError):
+        discG_mc(np.eye(sigma.shape[0]), sigma, 1000, RngHandle(1))
 
 
 def test_discg_planted_cancellation():

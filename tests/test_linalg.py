@@ -67,6 +67,23 @@ def test_cholesky_rejects_indefinite():
         psd_cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))  # asymmetric
 
 
+# indefinite matrices whose negative eigenvalue hides behind a zero pivot:
+# the column-by-column loop alone returns the zero matrix for the first and
+# drops the (1, 2) entry of the second (eigenvalue 1 - sqrt(2))
+HIDDEN_INDEFINITE = [
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]),
+]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200])
+@pytest.mark.parametrize("s", HIDDEN_INDEFINITE, ids=["swap", "path"])
+def test_cholesky_rejects_indefinite_behind_a_zero_pivot(s, scale):
+    # at 1e200 the squared residual and its bound would both overflow
+    with pytest.raises(NotPsdError, match=r"residual entry \(\d+, \d+\)"):
+        psd_cholesky(scale * s)
+
+
 def test_cholesky_zero_matrix():
     assert np.array_equal(psd_cholesky(np.zeros((3, 3))), np.zeros((3, 3)))
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from discforge.errors import BadSizeError
+from discforge.errors import BadSizeError, NotPsdError
 from discforge.rng import RngHandle
 from discforge.rounding import (
     SETTINGS,
@@ -88,6 +88,15 @@ def test_gw_round_identity_gives_fair_coins():
 
 def test_gw_round_zero_covariance_rounds_up():
     assert np.array_equal(gw_round(np.zeros((4, 4)), RngHandle(0).generator()), np.ones(4))
+
+
+@pytest.mark.parametrize("sigma", [
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]),
+], ids=["swap", "path"])
+def test_gw_round_rejects_indefinite_behind_a_zero_pivot(sigma):
+    with pytest.raises(NotPsdError):
+        gw_round(sigma, RngHandle(1).generator())
 
 
 def test_pca_round_rank_one_recovers_signing():
