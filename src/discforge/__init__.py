@@ -21,7 +21,6 @@ from .instances import unit_columns
 from .kernel import advance_chain_batch, kernel_step, kernel_step_batch, slice_sample
 from .linalg import (
     check_correlation,
-    check_psd,
     psd_cholesky,
     read_matrix,
     top_eigvec,

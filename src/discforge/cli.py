@@ -173,7 +173,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         value = vdisc_objective_units(a, read_matrix(args.units))
     elif op == "vdisc":
         paths.append(args.coupling)
-        value = vdisc_objective(a, read_matrix(args.coupling))
+        value = vdisc_objective(a, _read_correlation(args.coupling))
     elif op == "discs":
         paths.append(args.point)
         point = read_matrix(args.point)

@@ -6,7 +6,8 @@ class DiscforgeError(Exception):
 
 
 class NotPsdError(DiscforgeError):
-    """Matrix failed a positive semidefiniteness check (negative pivot)."""
+    """Matrix failed a correlation or PSD check: asymmetry, a non-unit
+    diagonal, a negative pivot, or a zero-pivot residual past its bound."""
 
 
 class NoConvergenceError(DiscforgeError):

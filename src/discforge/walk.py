@@ -28,7 +28,7 @@ from .chilaw import sigma_star
 from .errors import DimMismatchError, InconsistentStreamError, NormTooLargeError
 from .evals import coupling_from_units
 from .kernel import kernel_step
-from .linalg import check_correlation, psd_cholesky, slice_plan
+from .linalg import check_unit_diagonal, psd_cholesky, slice_plan
 from .rng import RngHandle
 
 __all__ = [
@@ -248,19 +248,20 @@ def stream_of_grams(sigmas: list[np.ndarray]) -> np.ndarray:
     """Recover a unit-vector stream whose prefix Grams match the given
     nested correlation matrices.
 
-    Each matrix is validated and must restrict to its predecessor. Row t
-    of a T x T correlation matrix is read from the last row of the t-th
-    matrix, and the stream is that matrix's rank-revealing factor
-    psd_cholesky, computed once. Row t of the result is supported on the
-    first t coordinates: it is the last row of the factor of the t-th
-    matrix, since the factor of a leading block is the leading block of
-    the factor.
+    Each matrix must be symmetric with a unit diagonal and restrict to its
+    predecessor. Row t of a T x T matrix is read from the last row of the
+    t-th matrix, and the stream is that matrix's rank-revealing factor
+    psd_cholesky, computed once. As the factor of a leading block is the
+    leading block of the factor, row t is supported on the first t
+    coordinates and is the last row of the t-th matrix's factor, and the
+    one factorization, at the pivot tolerance of every unit-diagonal
+    prefix, raises NotPsdError when psd_cholesky would reject any matrix.
     """
     big_t = len(sigmas)
     full = np.zeros((big_t, big_t))
     prev: np.ndarray | None = None
     for t, sig in enumerate(sigmas, start=1):
-        sig = check_correlation(np.asarray(sig, dtype=float))
+        sig = check_unit_diagonal(sig)
         if sig.shape != (t, t):
             raise DimMismatchError(f"matrix {t} has shape {sig.shape}, expected ({t}, {t})")
         if prev is not None:

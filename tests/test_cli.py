@@ -234,17 +234,22 @@ def test_eval_rejects_non_finite_input(tmp_path, capsys, op):
 @pytest.mark.parametrize("op", ["vdisc", "discg"])
 def test_eval_rejects_a_coupling_that_is_not_a_correlation_matrix(tmp_path, capsys, op):
     # 4 I is PSD but no correlation matrix: discg would read about twice
-    # the identity coupling's value
+    # the identity coupling's value; the second has a unit diagonal and an
+    # eigenvalue of -0.8
     mat = tmp_path / "a.mat"
     write_matrix(mat, np.eye(3))
     coup = tmp_path / "s.mat"
-    write_matrix(coup, 4.0 * np.eye(3))
     extra = {"vdisc": [], "discg": ["--samples", "100", "--seed", "1"]}[op]
-    assert main(["eval", op, "--input", str(mat), "--coupling", str(coup), *extra]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.endswith("diagonal is not the all-ones vector\n")
-    if op == "discg":
+    indefinite = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
+    for bad, message in [
+        (4.0 * np.eye(3), "diagonal is not the all-ones vector\n"),
+        (indefinite, "at column 2\n"),
+    ]:
+        write_matrix(coup, bad)
+        assert main(["eval", op, "--input", str(mat), "--coupling", str(coup), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(message)
         assert captured.err.startswith(f"error: {coup}: ")
 
 
@@ -597,11 +602,14 @@ BANASZCZYK = ["banaszczyk", "--trials", "1", "--seed", "1"]
         "gen-unit-columns-m-0",
     ],
 )
-def test_bad_input_exits_2(argv, named, capsys):
+def test_bad_input_exits_2(argv, named, capsys, tmp_path, monkeypatch):
+    # relative --out paths land in tmp_path, which must stay empty
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert named in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # the settings no caller varies are constants, and bench takes its seed

@@ -9,7 +9,6 @@ from discforge.linalg import (
     SYM_PANEL,
     SYM_RTOL,
     check_correlation,
-    check_psd,
     check_symmetric,
     psd_cholesky,
     read_matrix,
@@ -150,6 +149,43 @@ def test_cholesky_matches_column_by_column_reference():
     assert raised >= 40 and deficient >= 150
 
 
+def correlation_case(gen, kind):
+    # cholesky_case's matrix rescaled to a unit diagonal (a row whose diagonal
+    # entry is not positive keeps its scale and gets a 1 there); for
+    # "nudged-diagonal", a Gram matrix shifted to (1 - d) S + d I, which keeps
+    # the diagonal and moves its zero eigenvalues to d, near the pivot tolerance
+    s = cholesky_case(gen, "gram" if kind == "nudged-diagonal" else kind)
+    d = np.diag(s)
+    scale = 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0))
+    s = s * np.outer(scale, scale)
+    if kind == "nudged-diagonal":
+        shift = gen.choice([-1.5, -0.7, -0.3, 0.3, 0.7, 1.5]) * PIVOT_RTOL
+        s = (1.0 - shift) * s + shift * np.eye(s.shape[0])
+    np.fill_diagonal(s, 1.0)
+    return s
+
+
+def test_check_correlation_decides_as_psd_cholesky():
+    # at the tolerance edge an eigenvalue rule and the pivot rule part ways:
+    # check_correlation must take psd_cholesky's answer on every input
+    gen = RngHandle(104).generator()
+    kinds = ["gram", "unit-rows", "repeated-rows", "indefinite", "nudged-diagonal"]
+    raised = accepted = 0
+    for i in range(320):
+        s = correlation_case(gen, kinds[i % len(kinds)])
+        try:
+            psd_cholesky(s)
+        except NotPsdError as exc:
+            raised += 1
+            with pytest.raises(NotPsdError) as got:
+                check_correlation(s)
+            assert str(got.value) == str(exc)
+            continue
+        accepted += 1
+        assert check_correlation(s) is s
+    assert raised >= 40 and accepted >= 150
+
+
 def test_check_symmetric_tolerance_boundary_leaves_input_unchanged():
     base = np.array([[-4.0, -1.0, 2.0], [-1.0, 3.0, -2.0], [2.0, -2.0, -1.0]])
     scale = 4.0
@@ -237,10 +273,9 @@ def test_top_eigvec_no_convergence_on_tight_spectrum():
 
 
 def test_check_psd_and_correlation():
-    check_psd(np.eye(3))
     check_correlation(np.eye(3))
     with pytest.raises(NotPsdError):
-        check_psd(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        check_correlation(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(NotPsdError):
         check_correlation(2.0 * np.eye(3))
 

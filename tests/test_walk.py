@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from discforge import linalg
 from discforge.errors import (
     InconsistentStreamError,
     NormTooLargeError,
+    NotPsdError,
     NotUnitError,
     RankTooSmallError,
 )
@@ -393,6 +395,31 @@ def test_stream_of_grams_rejects_inconsistent():
     sigmas[2][0, 1] = sigmas[2][1, 0] = 0.5  # changes a committed correlation
     with pytest.raises(InconsistentStreamError):
         stream_of_grams(sigmas)
+
+
+def test_stream_of_grams_rejects_an_indefinite_prefix():
+    # nested and unit-diagonal, but the third matrix of four has an
+    # eigenvalue of -0.8
+    s = np.eye(4)
+    s[:3, :3] = [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]]
+    with pytest.raises(NotPsdError, match="at column 2"):
+        stream_of_grams([s[:t, :t] for t in range(1, 5)])
+
+
+def test_stream_of_grams_factors_once(monkeypatch):
+    # one psd_cholesky of the assembled matrix decides every prefix
+    calls = []
+
+    def counted(s):
+        calls.append(s.shape)
+        return psd_cholesky(s)
+
+    monkeypatch.setattr(walk, "psd_cholesky", counted)
+    monkeypatch.setattr(linalg, "psd_cholesky", counted)
+    us = RngHandle(16).generator().standard_normal((12, 3))
+    us /= np.linalg.norm(us, axis=1, keepdims=True)
+    stream_of_grams(gram_of_stream(us))
+    assert calls == [(12, 12)]
 
 
 def test_rank_rules():
