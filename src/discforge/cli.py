@@ -16,6 +16,7 @@ import hashlib
 import math
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import asdict
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from .evals import (
 )
 from .instances import unit_columns
 from .kernel import advance_chain_batch
-from .linalg import check_correlation, read_matrix, write_matrix
+from .linalg import check_unit_diagonal, read_matrix, write_matrix
 from .report import (
     PASS_FRACTION, ExperimentReport, check_trials, strict_json, verdict, write_json, write_jsonl,
 )
@@ -74,12 +75,10 @@ def _check_flag(ok: bool, flag: str, rule: str, value) -> None:
         raise ValueError(f"{flag} must {rule}, got {value}")
 
 
-def _read_correlation(path: str) -> np.ndarray:
-    """read_matrix, then check_correlation, naming the file in its error
-    as read_matrix does."""
-    s = read_matrix(path)
+def _naming(path: str, evaluate: Callable[[], object]):
+    """evaluate(), naming path in a DimMismatchError or NotPsdError it raises."""
     try:
-        return check_correlation(s)
+        return evaluate()
     except (DimMismatchError, NotPsdError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -173,7 +172,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         value = vdisc_objective_units(a, read_matrix(args.units))
     elif op == "vdisc":
         paths.append(args.coupling)
-        value = vdisc_objective(a, _read_correlation(args.coupling))
+        value = _naming(args.coupling, lambda: vdisc_objective(a, read_matrix(args.coupling)))
     elif op == "discs":
         paths.append(args.point)
         point = read_matrix(args.point)
@@ -181,10 +180,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise DimMismatchError(f"{args.point}: expected one row, found {point.shape[0]}")
         value = discs_objective(a, point[0])
     else:
-        evaluate, path = (discG_mc, args.coupling) if op == "discg" else (online_discG, args.stream)
+        path = args.coupling if op == "discg" else args.stream
         paths.append(path)
-        read = _read_correlation if op == "discg" else read_matrix
-        est = evaluate(a, read(path), args.samples, RngHandle(args.seed))
+        data, rng = read_matrix(path), RngHandle(args.seed)
+        if op == "discg":  # discG_mc's psd_cholesky is the PSD decision
+            est = _naming(path, lambda: discG_mc(a, check_unit_diagonal(data), args.samples, rng))
+        else:
+            est = online_discG(a, data, args.samples, rng)
         value, std_error, samples, seed = est.mean, est.std_error, est.samples, asdict(est.seed)
     report = ExperimentReport(
         name="eval",

@@ -88,17 +88,21 @@ def _symmetry_gap(s: np.ndarray) -> float:
 
 
 def check_unit_diagonal(s: np.ndarray) -> np.ndarray:
-    """Validate a symmetric matrix (check_symmetric) whose diagonal is the
-    all-ones vector within DIAG_ATOL."""
-    s = check_symmetric(s)
-    if float(np.abs(np.diag(s) - 1.0).max(initial=0.0)) > DIAG_ATOL:
+    """Validate a 2-d array whose diagonal is the all-ones vector within
+    DIAG_ATOL. Only the diagonal is read: symmetry and finiteness are left
+    to check_symmetric, run by the caller or by psd_cholesky."""
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 2:
+        raise DimMismatchError(f"expected a 2-d array, got shape {s.shape}")
+    if float(np.abs(np.diagonal(s) - 1.0).max(initial=0.0)) > DIAG_ATOL:
         raise NotPsdError("diagonal is not the all-ones vector")
     return s
 
 
 def check_correlation(s: np.ndarray) -> np.ndarray:
     """Validate an elliptope member: check_unit_diagonal, then psd_cholesky,
-    whose pivot rule is the package's one PSD decision."""
+    whose pivot rule is the package's one PSD decision and whose
+    check_symmetric is the one symmetry scan."""
     s = check_unit_diagonal(s)
     psd_cholesky(s)
     return s
@@ -154,40 +158,46 @@ def _check_zero_columns(s: np.ndarray, l: np.ndarray, tol: float) -> None:
     """Reject s unless the residual r = s - L Lt is small in every column z
     that L left zero.
 
-    A zero pivot proves column z of r zero only when s is PSD. For a matrix
-    within tol of PSD, Cauchy-Schwarz bounds each entry below the diagonal
-    by r[i, z]^2 <= 2 tol (s[i, i] + tol); an entry past that bound raises
-    NotPsdError. r is formed from L's nonzero columns in panels of
-    SYM_PANEL rows, left of the diagonal and right of the first zero
-    column, so no n x n temporary is made.
+    A zero pivot proves column z of r zero only when s is PSD. For i > z,
+    r[i, z] is an entry of the Schur complement S left by L's nonzero
+    columns before z: S[z, z] is the zero pivot, at most tol, and
+    S[i, i] = d is s[i, i] less the squares of row i's entries in those
+    columns, taken as at least 0. An entry past the Cauchy-Schwarz bound of
+    S + tol I, r[i, z]^2 <= 2 tol (d + tol), raises NotPsdError. r is
+    formed in panels of SYM_PANEL rows, so no n x n temporary is made, and
+    d only for a panel with an entry above the least bound, sqrt(2) tol.
     """
-    pivots = np.diag(l)
-    zero = np.flatnonzero(pivots == 0.0)
+    live = np.diag(l) != 0.0
+    zero = np.flatnonzero(~live)
     if zero.size == 0:
         return
     first = int(zero[0])
-    live_after = np.flatnonzero(pivots[first:])  # offsets from first
-    f = l[:, pivots != 0.0]
-    f_t = f.T
+    live_after = np.flatnonzero(live[first:])  # offsets from first
+    f = l[:, live]
     # the bound's square root, taken factor by factor so that neither side
-    # of |r[i, z]| <= root[i] overflows or underflows at any scale
-    root = math.sqrt(2.0 * tol) * np.sqrt(np.maximum(np.diag(s) + tol, 0.0))
+    # of r <= bound overflows or underflows at any scale
+    root_tol = math.sqrt(2.0 * tol)
+    least = root_tol * math.sqrt(tol)
     on_or_above = ~np.tri(SYM_PANEL, SYM_PANEL - 1, -1, dtype=bool)
     n = s.shape[0]
     for lo in range(first + 1, n, SYM_PANEL):
         hi = min(lo + SYM_PANEL, n)
-        # r[i - lo, z - first] for the panel's rows i and first <= z < hi - 1
-        r = f[lo:hi] @ f_t[:, first : hi - 1]
-        np.subtract(s[lo:hi, first : hi - 1], r, out=r)
+        cols = slice(first, hi - 1)
+        # |r[i, z]| for the panel's rows i and first <= z < hi - 1, zero
+        # where z >= i or column z is not zero
+        r = f[lo:hi] @ f[cols].T
+        np.subtract(s[lo:hi, cols], r, out=r)
         np.abs(r, out=r)
-        # only zero columns z < i count
-        if live_after.size:
-            r[:, live_after[live_after < hi - 1 - first]] = 0.0
+        r[:, live_after[live_after < hi - 1 - first]] = 0.0
         r[:, lo - first :][on_or_above[: hi - lo, : hi - 1 - lo]] = 0.0
-        over = r.max(axis=1) > root[lo:hi]
+        if r.max(initial=0.0) <= least:
+            continue
+        # l[i, z] = 0, so the squares summed through column z are d's
+        d = np.diagonal(s)[lo:hi, None] - np.cumsum(l[lo:hi, : hi - 1] ** 2, axis=1)[:, first:]
+        over = r > root_tol * np.sqrt(np.maximum(d, 0.0) + tol)
         if over.any():
-            j = int(np.argmax(over))
-            i, z = lo + j, first + int(np.argmax(r[j]))
+            j, c = np.unravel_index(np.argmax(over), over.shape)
+            i, z = lo + int(j), first + int(c)
             raise NotPsdError(
                 f"residual entry ({i}, {z}) = {s[i, z] - l[i] @ l[z]:.3e} is too large "
                 "for a positive semidefinite matrix"

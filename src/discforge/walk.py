@@ -28,7 +28,7 @@ from .chilaw import sigma_star
 from .errors import DimMismatchError, InconsistentStreamError, NormTooLargeError
 from .evals import coupling_from_units
 from .kernel import kernel_step
-from .linalg import check_unit_diagonal, psd_cholesky, slice_plan
+from .linalg import check_symmetric, check_unit_diagonal, psd_cholesky, slice_plan
 from .rng import RngHandle
 
 __all__ = [
@@ -253,15 +253,16 @@ def stream_of_grams(sigmas: list[np.ndarray]) -> np.ndarray:
     t-th matrix, and the stream is that matrix's rank-revealing factor
     psd_cholesky, computed once. As the factor of a leading block is the
     leading block of the factor, row t is supported on the first t
-    coordinates and is the last row of the t-th matrix's factor, and the
-    one factorization, at the pivot tolerance of every unit-diagonal
-    prefix, raises NotPsdError when psd_cholesky would reject any matrix.
+    coordinates and is the last row of the t-th matrix's factor. Each
+    pivot and zero-column bound reads only its leading block, and every
+    unit-diagonal prefix has the same pivot tolerance, so the one
+    factorization raises NotPsdError when psd_cholesky rejects any matrix.
     """
     big_t = len(sigmas)
     full = np.zeros((big_t, big_t))
     prev: np.ndarray | None = None
     for t, sig in enumerate(sigmas, start=1):
-        sig = check_unit_diagonal(sig)
+        sig = check_unit_diagonal(check_symmetric(sig))
         if sig.shape != (t, t):
             raise DimMismatchError(f"matrix {t} has shape {sig.shape}, expected ({t}, {t})")
         if prev is not None:

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import discforge
+from discforge import evals, linalg
 from discforge.cli import bench_per_round, build_parser, main
 from discforge.evals import discs_objective, vdisc_objective
 from discforge.kernel import advance_chain_batch
-from discforge.linalg import read_matrix, write_matrix
+from discforge.linalg import psd_cholesky, read_matrix, write_matrix
 from discforge.report import SCHEMA_VERSION
 from discforge.rng import RngHandle
 from discforge.rounding import make_planted
@@ -234,16 +235,19 @@ def test_eval_rejects_non_finite_input(tmp_path, capsys, op):
 @pytest.mark.parametrize("op", ["vdisc", "discg"])
 def test_eval_rejects_a_coupling_that_is_not_a_correlation_matrix(tmp_path, capsys, op):
     # 4 I is PSD but no correlation matrix: discg would read about twice
-    # the identity coupling's value; the second has a unit diagonal and an
-    # eigenvalue of -0.8
+    # the identity coupling's value; the second and third have a unit
+    # diagonal and an eigenvalue of -0.8 and -1e-4, the third's behind two
+    # zero pivots
     mat = tmp_path / "a.mat"
     write_matrix(mat, np.eye(3))
     coup = tmp_path / "s.mat"
     extra = {"vdisc": [], "discg": ["--samples", "100", "--seed", "1"]}[op]
     indefinite = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
+    coupled = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0001], [1.0, 1.0001, 1.0]])
     for bad, message in [
         (4.0 * np.eye(3), "diagonal is not the all-ones vector\n"),
         (indefinite, "at column 2\n"),
+        (coupled, "is too large for a positive semidefinite matrix\n"),
     ]:
         write_matrix(coup, bad)
         assert main(["eval", op, "--input", str(mat), "--coupling", str(coup), *extra]) == 2
@@ -251,6 +255,25 @@ def test_eval_rejects_a_coupling_that_is_not_a_correlation_matrix(tmp_path, caps
         assert captured.out == ""
         assert captured.err.endswith(message)
         assert captured.err.startswith(f"error: {coup}: ")
+
+
+@pytest.mark.parametrize("op", ["vdisc", "discg"])
+def test_eval_factors_its_coupling_once(tmp_path, capsys, monkeypatch, op):
+    calls = []
+
+    def counted(s):
+        calls.append(s.shape)
+        return psd_cholesky(s)
+
+    monkeypatch.setattr(linalg, "psd_cholesky", counted)
+    monkeypatch.setattr(evals, "psd_cholesky", counted)
+    mat, coup = tmp_path / "a.mat", tmp_path / "s.mat"
+    write_matrix(mat, np.eye(3))
+    write_matrix(coup, np.eye(3))
+    extra = {"vdisc": [], "discg": ["--samples", "10", "--seed", "1"]}[op]
+    assert main(["eval", op, "--input", str(mat), "--coupling", str(coup), *extra]) == 0
+    capsys.readouterr()
+    assert calls == [(3, 3)]
 
 
 def test_cli_json_is_strict(tmp_path, capsys):

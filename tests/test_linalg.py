@@ -66,21 +66,43 @@ def test_cholesky_rejects_indefinite():
         psd_cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))  # asymmetric
 
 
+def coupled_zero_pivots(e):
+    # J_3 + e (E_12 + E_21): pivot 0 is 1, columns 1 and 2 are zero pivots
+    # with the residual e between them, and the smallest eigenvalue is -e
+    s = np.ones((3, 3))
+    s[1, 2] = s[2, 1] = 1.0 + e
+    return s
+
+
 # indefinite matrices whose negative eigenvalue hides behind a zero pivot:
-# the column-by-column loop alone returns the zero matrix for the first and
-# drops the (1, 2) entry of the second (eigenvalue 1 - sqrt(2))
+# the column-by-column loop alone returns the zero matrix for the first,
+# drops the (1, 2) entry of the second (eigenvalue 1 - sqrt(2)) and the
+# (2, 1) entry of the third (eigenvalue -1e-4)
 HIDDEN_INDEFINITE = [
     np.array([[0.0, 1.0], [1.0, 0.0]]),
     np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]),
+    coupled_zero_pivots(1e-4),
 ]
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e200])
-@pytest.mark.parametrize("s", HIDDEN_INDEFINITE, ids=["swap", "path"])
+@pytest.mark.parametrize("s", HIDDEN_INDEFINITE, ids=["swap", "path", "coupled"])
 def test_cholesky_rejects_indefinite_behind_a_zero_pivot(s, scale):
     # at 1e200 the squared residual and its bound would both overflow
     with pytest.raises(NotPsdError, match=r"residual entry \(\d+, \d+\)"):
         psd_cholesky(scale * s)
+
+
+@pytest.mark.parametrize("check", [psd_cholesky, check_correlation])
+def test_zero_pivot_residual_bound_reads_the_residual_diagonal(check):
+    # row 2's residual diagonal after pivot 0 is 1 - 1 = 0, so the bound on
+    # the (2, 1) residual is sqrt(2 tol (0 + tol)) = 1.41 tol; s[2, 2] = 1 in
+    # its place would let it reach 1.41e-4
+    tol = PIVOT_RTOL
+    check(coupled_zero_pivots(1.3 * tol))
+    for e in [1.5 * tol, 1e-4]:
+        with pytest.raises(NotPsdError, match=r"residual entry \(2, 1\)"):
+            check(coupled_zero_pivots(e))
 
 
 def test_cholesky_zero_matrix():

@@ -397,12 +397,21 @@ def test_stream_of_grams_rejects_inconsistent():
         stream_of_grams(sigmas)
 
 
-def test_stream_of_grams_rejects_an_indefinite_prefix():
-    # nested and unit-diagonal, but the third matrix of four has an
-    # eigenvalue of -0.8
+@pytest.mark.parametrize(
+    "third, message",
+    [
+        ([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]], "at column 2"),
+        # two zero pivots with a residual of 1e-4 between them
+        ([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0001], [1.0, 1.0001, 1.0]], r"residual entry \(2, 1\)"),
+    ],
+    ids=["negative-pivot", "coupled-zero-pivots"],
+)
+def test_stream_of_grams_rejects_an_indefinite_prefix(third, message):
+    # nested and unit-diagonal, but the third matrix of four has a negative
+    # eigenvalue (-0.8, and -1e-4)
     s = np.eye(4)
-    s[:3, :3] = [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]]
-    with pytest.raises(NotPsdError, match="at column 2"):
+    s[:3, :3] = third
+    with pytest.raises(NotPsdError, match=message):
         stream_of_grams([s[:t, :t] for t in range(1, 5)])
 
 
