@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .chilaw import ChiLaw, chi_cdf, sigma_star
-from .errors import DimMismatchError, DiscforgeError, NotPsdError
+from .errors import DimMismatchError, DiscforgeError, NotPsdError, NotUnitError
 from .evals import (
     discG_mc,
     disc_bruteforce,
@@ -76,10 +76,10 @@ def _check_flag(ok: bool, flag: str, rule: str, value) -> None:
 
 
 def _naming(path: str, evaluate: Callable[[], object]):
-    """evaluate(), naming path in a DimMismatchError or NotPsdError it raises."""
+    """evaluate(), naming path in a DimMismatchError, NotPsdError or NotUnitError."""
     try:
         return evaluate()
-    except (DimMismatchError, NotPsdError) as exc:
+    except (DimMismatchError, NotPsdError, NotUnitError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
@@ -169,7 +169,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         value, _ = disc_bruteforce(a)
     elif op == "vdisc" and args.units is not None:
         paths.append(args.units)
-        value = vdisc_objective_units(a, read_matrix(args.units))
+        value = _naming(args.units, lambda: vdisc_objective_units(a, read_matrix(args.units)))
     elif op == "vdisc":
         paths.append(args.coupling)
         value = _naming(args.coupling, lambda: vdisc_objective(a, read_matrix(args.coupling)))
@@ -178,7 +178,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         point = read_matrix(args.point)
         if point.shape[0] != 1:
             raise DimMismatchError(f"{args.point}: expected one row, found {point.shape[0]}")
-        value = discs_objective(a, point[0])
+        value = _naming(args.point, lambda: discs_objective(a, point[0]))
     else:
         path = args.coupling if op == "discg" else args.stream
         paths.append(path)
@@ -186,7 +186,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if op == "discg":  # discG_mc's psd_cholesky is the PSD decision
             est = _naming(path, lambda: discG_mc(a, check_unit_diagonal(data), args.samples, rng))
         else:
-            est = online_discG(a, data, args.samples, rng)
+            est = _naming(path, lambda: online_discG(a, data, args.samples, rng))
         value, std_error, samples, seed = est.mean, est.std_error, est.samples, asdict(est.seed)
     report = ExperimentReport(
         name="eval",

@@ -22,7 +22,7 @@ from .errors import (
     NotUnitError,
     TooLargeError,
 )
-from .linalg import check_correlation, check_matrix, psd_cholesky, slice_plan
+from .linalg import SLICE_BYTES, check_correlation, check_matrix, psd_cholesky, slice_plan
 from .rng import RngHandle
 
 __all__ = [
@@ -44,10 +44,6 @@ __all__ = [
 BRUTE_FORCE_MAX_N = 26
 MC_BLOCK = 8192
 PREFIX_ROUNDS = 4
-PREFIX_BYTES = 1 << 20
-# random_signing_baseline turns its sign bits into float32 0/1 values in
-# column slices of about this many bytes, so no n x size float matrix exists.
-SIGN_BYTES = 1 << 20
 UNIT_ATOL = 1e-9
 
 
@@ -203,8 +199,9 @@ def discG_mc(
     Samples in the coupling's rank k: with L_k the k nonzero columns of
     L = psd_cholesky(Sigma), g = L_k xi for xi ~ N(0, I_k), so A L_k is
     formed once and each sample costs k normals and one product with it.
-    A zero coupling (k = 0) estimates exactly 0. The n x n factor is
-    dropped once A L_k is formed, so it is not held while sampling.
+    A zero coupling (k = 0) estimates exactly 0. Once A L_k is formed the
+    n x n factor is dropped, and each block's m x size product is taken,
+    its absolute value in place, in column slices of about SLICE_BYTES.
 
     A L_k is scaled once by the power of two 2^-e, with e the exponent of
     frexp(max |A L_k|), and the mean and standard error are multiplied
@@ -227,11 +224,17 @@ def discG_mc(
     del low  # free the n x n factor before the sampling temporaries
     exponent = _scale_exponent(ak)
     np.ldexp(ak, -exponent, out=ak)
-    k = ak.shape[1]
+    m, k = ak.shape
 
     def block(gen: np.random.Generator, size: int) -> np.ndarray:
         xi = gen.standard_normal((k, size))
-        return np.abs(ak @ xi).max(axis=0, initial=0.0)
+        plan = slice_plan(size, SLICE_BYTES // (8 * max(m, 1)))
+        buf = np.empty((m, max(cols.stop - cols.start for cols in plan)))
+        vals = np.empty(size)
+        for cols in plan:
+            prod = np.matmul(ak, xi[:, cols], out=buf[:, : cols.stop - cols.start])
+            np.abs(prod, out=prod).max(axis=0, initial=0.0, out=vals[cols])
+        return vals
 
     est = _estimate(np.concatenate(_map_blocks(block, rng, samples)), rng)
     return _scaled_back(est, exponent)
@@ -249,27 +252,27 @@ def online_discG(
 
     The same Gaussian samples are reused across all prefixes, so the
     per-prefix means are comparable and their maximum is stable. Each
-    Monte Carlo block draws g = us @ normals in float64 and evaluates the
-    prefixes in blocks of PREFIX_ROUNDS (4) rounds: one product of the
-    round block's V, stacked 4 times with the columns of later rounds
-    masked, with those rows of g gives all 4 prefix increments, which are
-    added to the running sum. The (4m x 4) stack is built for each round
-    block as it is reached, so no 4m x T copy of the stream is made. The
-    samples go through in column chunks of max(256, PREFIX_BYTES // (4 * 4
-    * m)), so that product's 4m x cols output is PREFIX_BYTES (1 MiB) up to
-    m = 256; above it the 256-column floor makes it 4 m KiB (16 MiB at
-    m = 4096).
+    Monte Carlo block draws its normals at once and evaluates the prefixes
+    in blocks of PREFIX_ROUNDS (4) rounds: one product of the round
+    block's V, stacked 4 times with the columns of later rounds masked,
+    with those rows of g = us @ normals gives all 4 prefix increments,
+    which are added to the running sum. The (4m x 4) stack is built for
+    each round block as it is reached, so no 4m x T copy of the stream is
+    made. The samples go through in column chunks of max(256, SLICE_BYTES
+    // (4 * 4 * m)), each with its own g, so no T x size g exists and the
+    product's 4m x cols output is SLICE_BYTES (1 MiB) up to m = 256; above
+    it the 256-column floor makes it 4 m KiB (16 MiB at m = 4096).
 
     The prefix arithmetic runs in float32. V is scaled by the power of two
     2^-e, with e the exponent of frexp(max |V|), as each round block's
     float32 stack is built from it (the scale sits in the mask, so no
-    scaled or float32 copy of V is made), and g is cast to float32 after
-    it is drawn. The per-sample maxima of each round are summed, and their
-    squares summed, in float64; the mean and standard error are formed in
-    float64 and multiplied back by 2^e. The draws are those of the
-    round-by-round float64 recursion acc += v_t g_t, and the estimate is
-    within 1e-3 standard errors and 1e-6 relative of it (tested up to
-    m = 4096, T = 384 and at 20 000 samples).
+    scaled or float32 copy of V is made), and each chunk's g is cast to
+    float32 as it is formed. The per-sample maxima of each round are
+    summed, and their squares summed, in float64; the mean and standard
+    error are formed in float64 and multiplied back by 2^e. The draws are
+    those of the round-by-round float64 recursion acc += v_t g_t, and the
+    estimate is within 1e-3 standard errors and 1e-6 relative of it (tested
+    up to m = 4096, T = 384 and at 20 000 samples).
     """
     _check_sampling(samples, rng)
     vs = check_matrix(vs)
@@ -287,15 +290,16 @@ def online_discG(
     # columns of its rounds after j zeroed, so stack @ g[rows] gives the
     # increments of all b prefixes
     mask = np.ldexp(np.tri(b)[:, None], -exponent)
-    chunk = max(256, PREFIX_BYTES // (4 * b * m))
+    chunk = max(256, SLICE_BYTES // (4 * b * m))
 
     def block(gen: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        g = (us @ gen.standard_normal((us.shape[1], size))).astype(np.float32)
+        normals = gen.standard_normal((us.shape[1], size))
         part_sums = np.zeros(big_t)
         part_sqs = np.zeros(big_t)
         stack = np.empty((b, m, b), dtype=np.float32)
         for c0 in range(0, size, chunk):
-            cols = min(chunk, size - c0)
+            g = (us @ normals[:, c0 : c0 + chunk]).astype(np.float32)
+            cols = g.shape[1]
             acc = np.zeros((m, cols), dtype=np.float32)
             buf = np.empty((b * m, cols), dtype=np.float32)
             maxima = np.empty((big_t, cols), dtype=np.float32)  # per round and sample
@@ -304,7 +308,7 @@ def online_discG(
                 slabs = stack[:nb, :, :nb]
                 np.multiply(vs[:, t0 : t0 + nb], mask[:nb, :, :nb], out=slabs)
                 pre = buf[: nb * m]
-                np.matmul(slabs.reshape(nb * m, nb), g[t0 : t0 + nb, c0 : c0 + cols], out=pre)
+                np.matmul(slabs.reshape(nb * m, nb), g[t0 : t0 + nb], out=pre)
                 pre = pre.reshape(nb, m, cols)
                 pre += acc
                 acc[...] = pre[-1]
@@ -411,7 +415,7 @@ def random_signing_baseline(a: np.ndarray, trials: int, rng: RngHandle) -> McEst
     r holds the float32 row sums of the scaled matrix A'. With b the bits
     as float32 0/1 values, sigma = 1 - 2b gives A' sigma = r - 2 A' b, so
     the bits are copied once into a float32 buffer in column slices of
-    about SIGN_BYTES (linalg.slice_plan) and each slice costs one float32
+    about SLICE_BYTES (linalg.slice_plan) and each slice costs one float32
     gemm plus in-place work on its small m x cols product. The per-sample
     maxima of A' are kept in float64, their mean and standard error are
     formed in float64, and both are multiplied back by 2^e, which is exact
@@ -432,7 +436,7 @@ def random_signing_baseline(a: np.ndarray, trials: int, rng: RngHandle) -> McEst
             words.astype("<u4", copy=False).view(np.uint8), count=n * size, bitorder="little"
         ).reshape(n, size)
         del words
-        plan = slice_plan(size, SIGN_BYTES // (4 * max(n, 1)))
+        plan = slice_plan(size, SLICE_BYTES // (4 * max(n, 1)))
         buf = np.empty((n, max(cols.stop - cols.start for cols in plan)), dtype=np.float32)
         vals = np.empty(size)
         for cols in plan:

@@ -40,6 +40,8 @@ EIGVEC_MAX_ITER = 10_000
 # check_symmetric compares the matrix with its transpose in panels of this
 # many rows, so no n x n temporary is made.
 SYM_PANEL = 64
+# The one memory budget of the package's sliced product temporaries.
+SLICE_BYTES = 1 << 20
 
 
 def check_matrix(a: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from .chilaw import sigma_star
 from .errors import DimMismatchError, InconsistentStreamError, NormTooLargeError
 from .evals import coupling_from_units
 from .kernel import kernel_step
-from .linalg import check_symmetric, check_unit_diagonal, psd_cholesky, slice_plan
+from .linalg import SLICE_BYTES, check_symmetric, check_unit_diagonal, psd_cholesky, slice_plan
 from .rng import RngHandle
 
 __all__ = [
@@ -55,9 +55,6 @@ RESYNC_BLOCKS = 4
 # whole column block of a C-order matrix at once was 1.4x (8 columns) to 3x
 # (64 columns) slower at m = 10^4, as it misses the cache row after row.
 COPY_ROWS = 256
-# walk_run adds each block's V U to W and Delta in row slices of about this
-# many bytes of V U, so no m x r product buffer exists beside them.
-STEP_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -163,8 +160,9 @@ def walk_run(config: WalkConfig, vs: np.ndarray) -> WalkRun:
     are known, D = Delta U^T + V triu(U U^T, 1) holds Delta_{j-1} u_j for
     every round j, the squared row norms of the signed sum Delta advance
     round by round by v_j * (2 D[:, j] + v_j) (u_j is a unit vector), and
-    V U is added to W and Delta, formed in row slices of about STEP_BYTES
-    (linalg.slice_plan) so no m x r product buffer exists. The increments
+    V U is added to W and Delta, formed in row slices of about SLICE_BYTES
+    (linalg.slice_plan); W_0 is drawn as in walk_init into W in the same
+    slices, so beside the buffer no m x r array exists. The increments
     are added in round order in one m x (b + 1) buffer whose first column
     holds the squared norms at the start of the block, so each sum is that
     of the round-by-round update, and the block's row norms take one max
@@ -185,20 +183,20 @@ def walk_run(config: WalkConfig, vs: np.ndarray) -> WalkRun:
         raise DimMismatchError(f"adversary matrix has shape {vs.shape}, expected ({config.m}, T)")
     m, r = config.m, config.r
     big_t = vs.shape[1]
-    state = walk_init(config)
-    gen = state.rng
     s2 = sigma_star(r) ** 2
     b = min(max(r, BLOCK_MIN), BLOCK_MAX)
     buf = np.zeros((m, r + b + r), order="F")
     w, vblk, delta = buf[:, :r], buf[:, r : r + b], buf[:, r + b :]  # delta: signed sum
-    w[:] = state.w
-    del state  # frees the C-order W_0 once w holds it
+    rows = slice_plan(m, SLICE_BYTES // (8 * r))
+    gen = config.seed.generator()
+    for sl in rows:  # W_0 as walk_init draws it: in C order, then scaled
+        w[sl] = gen.standard_normal((sl.stop - sl.start, r))
+    w *= sigma_star(r)
     # column 0 holds the squared row norms of delta at the start of a block,
     # columns 1..b their per-round increments and then their running values
     tail = np.zeros((m, b + 1), order="F")
     sq, inc = tail[:, 0], tail[:, 1:]
     ublk = np.zeros((b, r))
-    rows = slice_plan(m, STEP_BYTES // (8 * r))
     step = np.empty((max(sl.stop - sl.start for sl in rows), r), order="F")  # V U by rows
     coef = np.empty((b + r, b))  # [2 triu(U U^T, 1); 2 U^T], so [V Delta] coef = 2 D
     upper2 = np.triu(np.full((b, b), 2.0), 1)

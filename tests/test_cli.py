@@ -394,7 +394,7 @@ def test_eval_discs_rejects_an_overflowing_point_without_a_warning(tmp_path, cap
     assert caught == []
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: ||x|| must equal sqrt(2)\n"
+    assert captured.err == f"error: {point}: ||x|| must equal sqrt(2)\n"
 
 
 def test_eval_names_a_missing_input(tmp_path, capsys):
@@ -589,6 +589,15 @@ def test_bench_per_round_needs_a_seed():
 
 STATIONARITY = ["stationarity", "--r", "2", "--sigma", "0.5", "--runs", "100", "--seed", "1"]
 BANASZCZYK = ["banaszczyk", "--trials", "1", "--seed", "1"]
+# the files the eval cases below read, written to the working directory
+BAD_INPUTS = {
+    "a.mat": np.ones((2, 3)),
+    "rows4.mat": np.eye(4),  # unit rows, one too many for a.mat
+    "rows2x.mat": 2.0 * np.eye(3),  # rows of norm 2
+    "long.mat": np.ones((1, 4)),  # a sphere point of the wrong length
+    "off.mat": np.array([[2.0, 0.0, 0.0]]),  # off the sqrt(3) sphere
+}
+EVAL_SAMPLING = ["--samples", "10", "--seed", "1"]
 
 
 @pytest.mark.parametrize(
@@ -616,23 +625,39 @@ BANASZCZYK = ["banaszczyk", "--trials", "1", "--seed", "1"]
         ([*STATIONARITY, "--sigma", "0.4"], "below the admissible floor"),
         (["gen", "random-unit-columns", "--m", "0", "--t", "3", "--seed", "1",
           "--out", "z.mat"], "m=0"),
+        # each eval op names the file its evaluator rejects
+        (["eval", "online-discg", "--input", "a.mat", "--stream", "rows4.mat", *EVAL_SAMPLING],
+         "error: rows4.mat: columns (2, 3) incompatible with stream rows (4, 4)"),
+        (["eval", "online-discg", "--input", "a.mat", "--stream", "rows2x.mat", *EVAL_SAMPLING],
+         "error: rows2x.mat: rows must be unit vectors"),
+        (["eval", "vdisc", "--input", "a.mat", "--units", "rows4.mat"],
+         "error: rows4.mat: matrix (2, 3) incompatible with rows (4, 4)"),
+        (["eval", "vdisc", "--input", "a.mat", "--units", "rows2x.mat"],
+         "error: rows2x.mat: rows must be unit vectors"),
+        (["eval", "discs", "--input", "a.mat", "--point", "long.mat"],
+         "error: long.mat: matrix (2, 3) incompatible with point (4,)"),
+        (["eval", "discs", "--input", "a.mat", "--point", "off.mat"],
+         "error: off.mat: ||x|| must equal sqrt(3)"),
     ],
     ids=[
         "bench-t-0", "bench-reps-0", "sigma-negative", "steps-negative", "steps-0",
         "runs-5", "runs-50", "banaszczyk-m-0", "banaszczyk-t-0",
         "banaszczyk-samples-0", "discg-samples-0", "online-discg-samples-0",
         "walk-rank-1", "stationarity-r-1", "stationarity-sigma-below-floor",
-        "gen-unit-columns-m-0",
+        "gen-unit-columns-m-0", "online-discg-stream-rows", "online-discg-stream-not-unit",
+        "vdisc-units-rows", "vdisc-units-not-unit", "discs-point-length", "discs-point-off-sphere",
     ],
 )
 def test_bad_input_exits_2(argv, named, capsys, tmp_path, monkeypatch):
-    # relative --out paths land in tmp_path, which must stay empty
+    # relative --out paths land in tmp_path, which must hold only the inputs
     monkeypatch.chdir(tmp_path)
+    for name, a in BAD_INPUTS.items():
+        write_matrix(name, a)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert named in err
-    assert list(tmp_path.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(BAD_INPUTS)
 
 
 # the settings no caller varies are constants, and bench takes its seed

@@ -14,9 +14,7 @@ from discforge.errors import (
 )
 from discforge.evals import (
     MC_BLOCK,
-    PREFIX_BYTES,
     PREFIX_ROUNDS,
-    SIGN_BYTES,
     check_spherical,
     coupling_from_signing,
     coupling_from_units,
@@ -30,7 +28,7 @@ from discforge.evals import (
     vdisc_objective_units,
 )
 from discforge.instances import unit_columns
-from discforge.linalg import psd_cholesky
+from discforge.linalg import SLICE_BYTES, psd_cholesky
 from discforge.rng import RngHandle
 from discforge.rounding import BASELINE_SAMPLES, SETTINGS, make_planted
 
@@ -181,6 +179,35 @@ def test_discg_frees_the_factor_before_sampling(traced_peak):
     assert peak <= 8 * n * n + 8 * m * samples
 
 
+def test_discg_column_slices_match_the_whole_block_product():
+    # m = 512 takes the block's product in slices of 256 samples, here five
+    # and a partial one of 3; with the identity coupling A L_k is A, and the
+    # estimate is bitwise that of the whole block's product on the same draws.
+    # Each row of A holds two entries of +-1, so each entry of A xi is one
+    # rounded sum, the same in any BLAS kernel: the slices cannot hide in it
+    m, n = 512, 6
+    width = SLICE_BYTES // (8 * m)
+    samples = 5 * width + 3
+    gen = RngHandle(96).generator()
+    a = np.zeros((m, n))
+    for _ in range(2):
+        a[np.arange(m), gen.integers(0, n, m)] += gen.choice([-1.0, 1.0], m)
+    est = discG_mc(a, np.eye(n), samples, RngHandle(97))
+    xi = RngHandle(97).substream(0).generator().standard_normal((n, samples))
+    vals = np.abs(a @ xi).max(axis=0)
+    assert est.mean == vals.mean()
+    assert est.std_error == vals.std(ddof=1) / math.sqrt(samples)
+
+
+def test_discg_holds_one_column_slice_of_the_product(traced_peak):
+    # at m = 512 a block's m x MC_BLOCK product is 32 MiB, and its absolute
+    # value another; sliced, the block's normals, A L_k and one slice remain
+    m, n = 512, 16
+    a = RngHandle(98).generator().standard_normal((m, n))
+    peak = traced_peak(lambda: discG_mc(a, np.eye(n), MC_BLOCK, RngHandle(99)))
+    assert peak <= 8 * n * MC_BLOCK + 8 * m * n + 2 * SLICE_BYTES
+
+
 def test_discg_rank_one_coupling_identity():
     gen = RngHandle(34).generator()
     a = gen.standard_normal((3, 6))
@@ -327,8 +354,8 @@ def online_discg_loop(vs, us, samples, rng):
         (1, 9, 2, 700),
         (0, 6, 2, 700),
         (4, 10, 3, MC_BLOCK + 5),  # two Monte Carlo blocks
-        (16, 9, 4, PREFIX_BYTES // (4 * PREFIX_ROUNDS * 16) + 7),  # two sample chunks
-        (32, 9, 4, 2 * PREFIX_BYTES // (4 * PREFIX_ROUNDS * 32) + 7),  # three sample chunks
+        (16, 9, 4, SLICE_BYTES // (4 * PREFIX_ROUNDS * 16) + 7),  # two sample chunks
+        (32, 9, 4, 2 * SLICE_BYTES // (4 * PREFIX_ROUNDS * 32) + 7),  # three sample chunks
         (2048, 6, 3, 2 * 256 + 7),  # three chunks at the 256-column floor
         (16, 128, 11, 20_000),  # criterion 07's sample count
         (4096, 384, 18, 200),  # the longest rounds: float32 error accumulates over 384
@@ -387,6 +414,19 @@ def test_online_discg_builds_one_round_block_stack_at_a_time(traced_peak):
     us = unit_rows(big_t, 4, 84)
     peak = traced_peak(lambda: online_discG(vs, us, samples, RngHandle(85)))
     assert peak <= 8 * PREFIX_ROUNDS * m * big_t // 2
+
+
+def test_online_discg_forms_g_one_sample_chunk_at_a_time(traced_peak):
+    # at m = 300, T = 200 a block's float64 g = us @ normals would take
+    # 8 T MC_BLOCK bytes (13 MB), beside its float32 cast; formed per chunk
+    # of 256 samples, the block's r x MC_BLOCK normals and a few chunk
+    # buffers of about SLICE_BYTES remain
+    m, big_t, r, samples = 300, 200, 12, 9000
+    bound = 8 * r * MC_BLOCK + 4 * SLICE_BYTES
+    assert 8 * big_t * MC_BLOCK > bound  # a whole block's g alone breaks it
+    vs = unit_columns(m, big_t, RngHandle(86))
+    us = unit_rows(big_t, r, 87)
+    assert traced_peak(lambda: online_discG(vs, us, samples, RngHandle(88))) <= bound
 
 
 def test_online_discg_is_monotone_max_over_prefixes():
@@ -515,7 +555,7 @@ def test_random_signing_baseline_pins_block_zero_draw():
     # a block in several column slices ending in a partial one: integer
     # entries make every product exact, so the slices cannot hide in rounding
     n = 2000
-    width = SIGN_BYTES // (8 * n) // 8 * 8
+    width = SLICE_BYTES // (8 * n) // 8 * 8
     samples = 5 * width + 3
     a = RngHandle(79).generator().integers(-9, 10, size=(4, n)).astype(float)
     est = random_signing_baseline(a, samples, RngHandle(78))
@@ -567,7 +607,7 @@ def test_random_signing_baseline_holds_one_slice_of_floats(traced_peak):
     m, n, samples = 80, 502, 2000
     a = RngHandle(81).generator().standard_normal((m, n))
     peak = traced_peak(lambda: random_signing_baseline(a, samples, RngHandle(82)))
-    assert peak <= n * samples + 2 * SIGN_BYTES
+    assert peak <= n * samples + 2 * SLICE_BYTES
 
 
 def test_random_signing_baseline_matches_enumerated_mean():

@@ -222,7 +222,7 @@ def test_walk_run_row_slices_agree_with_one_product(monkeypatch):
     config = WalkConfig(m=m, r=r, seed=RngHandle(23))
     vs = unit_columns(m, big_t, RngHandle(24))
     whole = walk_run(config, vs)
-    monkeypatch.setattr(walk, "STEP_BYTES", 8 * 8 * r)
+    monkeypatch.setattr(walk, "SLICE_BYTES", 8 * 8 * r)
     sliced = walk_run(config, vs)
     assert np.abs(sliced.us - whole.us).max() < 1e-12
     assert np.abs(sliced.row_norms - whole.row_norms).max() < 1e-12
@@ -233,14 +233,15 @@ def test_walk_run_row_slices_agree_with_one_product(monkeypatch):
 
 
 def test_walk_run_holds_no_m_by_r_product_buffer(traced_peak):
-    # copying W_0 into the run buffer (W, V and Delta side by side) holds
-    # m (3r + b) floats at once, and that floor is the peak: the block's
-    # V U lives in row slices of STEP_BYTES, not in an m x r buffer
-    m, r, big_t = 8192, 64, 16
+    # the run buffer (W, V and Delta side by side, m (2r + b) floats) and
+    # the m x (b + 1) norm tail are the only arrays of m rows: W_0 is drawn
+    # into the buffer and the block's V U formed, both in row slices of
+    # SLICE_BYTES. At r >> b an m x r copy of W_0 or of V U would show
+    m, r, big_t = 4096, 256, 16
     b = min(max(r, walk.BLOCK_MIN), walk.BLOCK_MAX)
     vs = unit_columns(m, big_t, RngHandle(25))
     peak = traced_peak(lambda: walk_run(WalkConfig(m=m, r=r, seed=RngHandle(26)), vs))
-    assert peak <= 8 * m * (3 * r + b) + 2 * walk.STEP_BYTES
+    assert peak <= 8 * m * (2 * r + b) + 8 * m * (b + 1) + 2 * walk.SLICE_BYTES
 
 
 def test_row_norms_do_not_drift_on_long_streams():
