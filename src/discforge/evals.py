@@ -6,12 +6,15 @@ equivalently Gram matrices), spherical (radius sqrt(n)), and Gaussian
 Exact objectives are evaluated directly; the Gaussian expectation has no
 closed form and is estimated by Monte Carlo with a reported standard
 error. The Monte Carlo evaluators take an RngHandle and sample in
-fixed-size blocks, block k drawing from the handle's substream k, so an
-estimate depends only on the handle and the sample count.
+fixed-size blocks, block k drawing from the handle's substream k. A block
+draws sample-major (one row per sample), one slice of samples at a time,
+so each slice reads the next run of its substream and an estimate depends
+only on the handle and the sample count, not on linalg.SLICE_BYTES.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,13 +95,18 @@ def _check_sampling(samples: int, rng: RngHandle) -> None:
         raise TypeError(f"Monte Carlo evaluators take an RngHandle, got {type(rng).__name__}")
 
 
-def _map_blocks(fn, rng: RngHandle, samples: int) -> list:
-    """Run fn(generator, block_size) over blocks of MC_BLOCK samples (the
-    last one shorter) in order, block k on substream k of rng."""
-    return [
-        fn(rng.substream(k).generator(), min(MC_BLOCK, samples - start))
-        for k, start in enumerate(range(0, samples, MC_BLOCK))
-    ]
+def _sample_slices(
+    rng: RngHandle, samples: int, width: int
+) -> Iterator[tuple[np.random.Generator, slice]]:
+    """(generator, cols) for each slice_plan(size, width) slice of each
+    block of MC_BLOCK samples (the last one shorter), in order. Block k
+    draws on substream k of rng and cols indexes the samples of the whole
+    run, so a slice drawing its samples' rows from the generator reads the
+    next rows of its block's sample-major draw, whatever the width."""
+    for k, start in enumerate(range(0, samples, MC_BLOCK)):
+        gen = rng.substream(k).generator()
+        for cols in slice_plan(min(MC_BLOCK, samples - start), width):
+            yield gen, slice(start + cols.start, start + cols.stop)
 
 
 def _estimate(vals: np.ndarray, rng: RngHandle) -> McEstimate:
@@ -130,7 +138,10 @@ def _scaled_back(est: McEstimate, exponent: int) -> McEstimate:
 def disc_bruteforce(a: np.ndarray) -> tuple[float, np.ndarray]:
     """Exact discrepancy min over signings of ||A sigma||_inf, with an
     argmin, by enumerating the 2^(n-1) signings that fix sigma_1 = +1
-    (negating a signing never changes the objective)."""
+    (negating a signing never changes the objective), in slice_plan slices
+    of SLICE_BYTES // (8 max(m, n)) signings, so that a slice's signs and
+    product each fit SLICE_BYTES. The first minimum in enumeration order
+    wins, whatever the slices."""
     a = check_matrix(a)
     m, n = a.shape
     if n > BRUTE_FORCE_MAX_N:
@@ -140,14 +151,13 @@ def disc_bruteforce(a: np.ndarray) -> tuple[float, np.ndarray]:
     shifts = np.arange(n - 1, dtype=np.uint64)
     best_val = math.inf
     best_sigma = np.ones(n)
-    chunk = 1 << 16
-    total = 1 << (n - 1)
-    for start in range(0, total, chunk):
-        ks = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+    for cols in slice_plan(1 << (n - 1), SLICE_BYTES // (8 * max(m, n))):
+        ks = np.arange(cols.start, cols.stop, dtype=np.uint64)
         signs = np.empty((n, ks.size))
         signs[0] = 1.0
         signs[1:] = 1.0 - 2.0 * ((ks[None, :] >> shifts[:, None]) & 1)
-        vals = np.abs(a @ signs).max(axis=0)
+        prod = a @ signs
+        vals = np.abs(prod, out=prod).max(axis=0)
         k = int(np.argmin(vals))
         if vals[k] < best_val:
             best_val = float(vals[k])
@@ -200,8 +210,11 @@ def discG_mc(
     L = psd_cholesky(Sigma), g = L_k xi for xi ~ N(0, I_k), so A L_k is
     formed once and each sample costs k normals and one product with it.
     A zero coupling (k = 0) estimates exactly 0. Once A L_k is formed the
-    n x n factor is dropped, and each block's m x size product is taken,
-    its absolute value in place, in column slices of about SLICE_BYTES.
+    n x n factor is dropped. Each block goes through in slice_plan slices
+    of SLICE_BYTES // (8 max(m, k)) samples, each drawing its cols x k
+    normals sample-major and taking its m x cols product with A L_k,
+    absolute value in place: past the factor, A L_k and the per-sample
+    values, a call holds a few SLICE_BYTES.
 
     A L_k is scaled once by the power of two 2^-e, with e the exponent of
     frexp(max |A L_k|), and the mean and standard error are multiplied
@@ -225,19 +238,11 @@ def discG_mc(
     exponent = _scale_exponent(ak)
     np.ldexp(ak, -exponent, out=ak)
     m, k = ak.shape
-
-    def block(gen: np.random.Generator, size: int) -> np.ndarray:
-        xi = gen.standard_normal((k, size))
-        plan = slice_plan(size, SLICE_BYTES // (8 * max(m, 1)))
-        buf = np.empty((m, max(cols.stop - cols.start for cols in plan)))
-        vals = np.empty(size)
-        for cols in plan:
-            prod = np.matmul(ak, xi[:, cols], out=buf[:, : cols.stop - cols.start])
-            np.abs(prod, out=prod).max(axis=0, initial=0.0, out=vals[cols])
-        return vals
-
-    est = _estimate(np.concatenate(_map_blocks(block, rng, samples)), rng)
-    return _scaled_back(est, exponent)
+    vals = np.empty(samples)
+    for gen, cols in _sample_slices(rng, samples, SLICE_BYTES // (8 * max(m, k, 1))):
+        prod = ak @ gen.standard_normal((cols.stop - cols.start, k)).T
+        np.abs(prod, out=prod).max(axis=0, initial=0.0, out=vals[cols])
+    return _scaled_back(_estimate(vals, rng), exponent)
 
 
 def online_discG(
@@ -251,17 +256,18 @@ def online_discG(
     vectors (NotUnitError otherwise).
 
     The same Gaussian samples are reused across all prefixes, so the
-    per-prefix means are comparable and their maximum is stable. Each
-    Monte Carlo block draws its normals at once and evaluates the prefixes
-    in blocks of PREFIX_ROUNDS (4) rounds: one product of the round
-    block's V, stacked 4 times with the columns of later rounds masked,
-    with those rows of g = us @ normals gives all 4 prefix increments,
-    which are added to the running sum. The (4m x 4) stack is built for
-    each round block as it is reached, so no 4m x T copy of the stream is
-    made. The samples go through in column chunks of max(256, SLICE_BYTES
-    // (4 * 4 * m)), each with its own g, so no T x size g exists and the
-    product's 4m x cols output is SLICE_BYTES (1 MiB) up to m = 256; above
-    it the 256-column floor makes it 4 m KiB (16 MiB at m = 4096).
+    per-prefix means are comparable and their maximum is stable. A Monte
+    Carlo block's samples go through in slice_plan chunks of max(256,
+    SLICE_BYTES // (8 max(r, T, 8m))) columns. Each chunk draws its cols x
+    r normals sample-major and forms g = us @ normals^T, then evaluates
+    the prefixes in blocks of PREFIX_ROUNDS (4) rounds: one product of the
+    round block's V, stacked 4 times with the columns of later rounds
+    masked, with those rows of g gives all 4 prefix increments, which are
+    added to the running sum. The (4m x 4) stack is built for each round
+    block as it is reached, so no 4m x T copy of the stream is made. A
+    chunk's normals, float64 g and 4m x cols product each fit SLICE_BYTES
+    (1 MiB) until r, T or 8m passes 512, where the 256-column floor sets
+    the chunk (the product is then 4m KiB, 16 MiB at m = 4096).
 
     The prefix arithmetic runs in float32. V is scaled by the power of two
     2^-e, with e the exponent of frexp(max |V|), as each round block's
@@ -290,39 +296,30 @@ def online_discG(
     # columns of its rounds after j zeroed, so stack @ g[rows] gives the
     # increments of all b prefixes
     mask = np.ldexp(np.tri(b)[:, None], -exponent)
-    chunk = max(256, SLICE_BYTES // (4 * b * m))
-
-    def block(gen: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        normals = gen.standard_normal((us.shape[1], size))
-        part_sums = np.zeros(big_t)
-        part_sqs = np.zeros(big_t)
-        stack = np.empty((b, m, b), dtype=np.float32)
-        for c0 in range(0, size, chunk):
-            g = (us @ normals[:, c0 : c0 + chunk]).astype(np.float32)
-            cols = g.shape[1]
-            acc = np.zeros((m, cols), dtype=np.float32)
-            buf = np.empty((b * m, cols), dtype=np.float32)
-            maxima = np.empty((big_t, cols), dtype=np.float32)  # per round and sample
-            for t0 in range(0, big_t, b):
-                nb = min(b, big_t - t0)
-                slabs = stack[:nb, :, :nb]
-                np.multiply(vs[:, t0 : t0 + nb], mask[:nb, :, :nb], out=slabs)
-                pre = buf[: nb * m]
-                np.matmul(slabs.reshape(nb * m, nb), g[t0 : t0 + nb], out=pre)
-                pre = pre.reshape(nb, m, cols)
-                pre += acc
-                acc[...] = pre[-1]
-                np.abs(pre, out=pre)
-                pre.max(axis=1, out=maxima[t0 : t0 + nb])
-            part_sums += maxima.sum(axis=1, dtype=np.float64)
-            part_sqs += np.einsum("ij,ij->i", maxima, maxima, dtype=np.float64)
-        return part_sums, part_sqs
-
+    r = us.shape[1]
+    chunk = max(256, SLICE_BYTES // (8 * max(r, big_t, 2 * b * m)))
     sums = np.zeros(big_t)
     sqs = np.zeros(big_t)
-    for part_sums, part_sqs in _map_blocks(block, rng, samples):
-        sums += part_sums
-        sqs += part_sqs
+    stack = np.empty((b, m, b), dtype=np.float32)
+    for gen, chunk_cols in _sample_slices(rng, samples, chunk):
+        cols = chunk_cols.stop - chunk_cols.start
+        g = (us @ gen.standard_normal((cols, r)).T).astype(np.float32)
+        acc = np.zeros((m, cols), dtype=np.float32)
+        buf = np.empty((b * m, cols), dtype=np.float32)
+        maxima = np.empty((big_t, cols), dtype=np.float32)  # per round and sample
+        for t0 in range(0, big_t, b):
+            nb = min(b, big_t - t0)
+            slabs = stack[:nb, :, :nb]
+            np.multiply(vs[:, t0 : t0 + nb], mask[:nb, :, :nb], out=slabs)
+            pre = buf[: nb * m]
+            np.matmul(slabs.reshape(nb * m, nb), g[t0 : t0 + nb], out=pre)
+            pre = pre.reshape(nb, m, cols)
+            pre += acc
+            acc[...] = pre[-1]
+            np.abs(pre, out=pre)
+            pre.max(axis=1, out=maxima[t0 : t0 + nb])
+        sums += maxima.sum(axis=1, dtype=np.float64)
+        sqs += np.einsum("ij,ij->i", maxima, maxima, dtype=np.float64)
     means = sums / samples
     t_star = int(np.argmax(means))
     mean = float(means[t_star])
@@ -404,19 +401,22 @@ def triangle_rank2(
 def random_signing_baseline(a: np.ndarray, trials: int, rng: RngHandle) -> McEstimate:
     """Monte Carlo mean of ||A sigma||_inf over uniform random signings.
 
-    Each Monte Carlo block draws its n x size sign bits at once, 32 to a
-    uint32 word, lowest bit first; these are the bits and the generator
-    state of integers(0, 2, (n, size), dtype=bool), which takes one 32-bit
-    draw per 32 bits in the same order.
+    Each Monte Carlo block draws its sign bits one slice of samples at a
+    time, sample-major (n bits per sample), 32 to a uint32 word, lowest
+    bit first. A slice is a whole number of 32-sample groups, so every
+    slice but the last ends on a word, and the bits and the generator
+    state are those of integers(0, 2, (size, n), dtype=bool), which takes
+    one 32-bit draw per 32 bits in the same order.
 
     The products run in float32. A is scaled once by the power of two
     2^-e, with e the exponent of frexp(max |A|), so its entries lie below
     1 in magnitude and cast to float32 without overflow or flush to zero;
     r holds the float32 row sums of the scaled matrix A'. With b the bits
     as float32 0/1 values, sigma = 1 - 2b gives A' sigma = r - 2 A' b, so
-    the bits are copied once into a float32 buffer in column slices of
-    about SLICE_BYTES (linalg.slice_plan) and each slice costs one float32
-    gemm plus in-place work on its small m x cols product. The per-sample
+    each slice's bits are copied once into a float32 buffer of at most
+    SLICE_BYTES (SLICE_BYTES // (4 max(m, n)) samples, rounded down to a
+    multiple of 32 and at least 32) and cost one float32 gemm plus
+    in-place work on its cols x m product. The per-sample
     maxima of A' are kept in float64, their mean and standard error are
     formed in float64, and both are multiplied back by 2^e, which is exact
     and cannot overflow the sum of squares. The estimate differs from the
@@ -425,28 +425,21 @@ def random_signing_baseline(a: np.ndarray, trials: int, rng: RngHandle) -> McEst
     """
     _check_sampling(trials, rng)
     a = check_matrix(a)
-    n = a.shape[1]
+    m, n = a.shape
     exponent = _scale_exponent(a)
-    a32 = np.ldexp(a, -exponent).astype(np.float32)
-    r = a32.sum(axis=1)[:, None]
-
-    def block(gen: np.random.Generator, size: int) -> np.ndarray:
-        words = gen.integers(0, 1 << 32, size=-(-n * size // 32), dtype=np.uint32)
+    a32 = np.ldexp(a, -exponent).astype(np.float32, order="F")  # a32.T is C-contiguous
+    r = a32.sum(axis=1)
+    width = max(32, SLICE_BYTES // (4 * max(m, n, 1)) // 32 * 32)
+    vals = np.empty(trials)
+    for gen, cols in _sample_slices(rng, trials, width):
+        size = cols.stop - cols.start
+        words = gen.integers(0, 1 << 32, size=-(-size * n // 32), dtype=np.uint32)
         bits = np.unpackbits(
-            words.astype("<u4", copy=False).view(np.uint8), count=n * size, bitorder="little"
-        ).reshape(n, size)
-        del words
-        plan = slice_plan(size, SLICE_BYTES // (4 * max(n, 1)))
-        buf = np.empty((n, max(cols.stop - cols.start for cols in plan)), dtype=np.float32)
-        vals = np.empty(size)
-        for cols in plan:
-            part = buf[:, : cols.stop - cols.start]
-            np.copyto(part, bits[:, cols])
-            prod = a32 @ part
-            prod *= -2.0
-            prod += r
-            np.abs(prod, out=prod)
-            prod.max(axis=0, initial=0.0, out=vals[cols])
-        return vals
-
-    return _scaled_back(_estimate(np.concatenate(_map_blocks(block, rng, trials)), rng), exponent)
+            words.astype("<u4", copy=False).view(np.uint8), count=size * n, bitorder="little"
+        )
+        prod = bits.reshape(size, n).astype(np.float32) @ a32.T
+        prod *= -2.0
+        prod += r
+        np.abs(prod, out=prod)
+        prod.max(axis=1, initial=0.0, out=vals[cols])
+    return _scaled_back(_estimate(vals, rng), exponent)

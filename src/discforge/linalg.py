@@ -38,7 +38,10 @@ DIAG_ATOL = 1e-10
 EIGVEC_TOL = 1e-9
 EIGVEC_MAX_ITER = 10_000
 # check_symmetric compares the matrix with its transpose in panels of this
-# many rows, so no n x n temporary is made.
+# many rows, so no n x n temporary is made. The width is cache blocking, not
+# a memory budget: panels of SLICE_BYTES (261 rows at n = 502) took
+# psd_cholesky on the n = 502 planted coupling from 750-1170 to 1040-1520 us,
+# slower in 8 of 8 pairs (2-vCPU Xeon, one BLAS thread).
 SYM_PANEL = 64
 # The one memory budget of the package's sliced product temporaries.
 SLICE_BYTES = 1 << 20

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from discforge import evals
 from discforge.errors import (
     DimMismatchError,
     InfeasibleTriangleError,
@@ -28,7 +29,7 @@ from discforge.evals import (
     vdisc_objective_units,
 )
 from discforge.instances import unit_columns
-from discforge.linalg import SLICE_BYTES, psd_cholesky
+from discforge.linalg import SLICE_BYTES, psd_cholesky, slice_plan
 from discforge.rng import RngHandle
 from discforge.rounding import BASELINE_SAMPLES, SETTINGS, make_planted
 
@@ -68,6 +69,19 @@ def test_bruteforce_invariances():
         flips = 1.0 - 2.0 * gen.integers(0, 2, size=10)
         val2, _ = disc_bruteforce(a[perm] * flips)
         assert abs(val - val2) < 1e-12
+
+
+def test_bruteforce_enumerates_the_signings_in_slices(traced_peak):
+    # at m = 1024 a chunk of 2^16 signings held a 512 MiB product and its
+    # absolute value; sliced by SLICE_BYTES, a slice's product and the one
+    # before it (freed as the next is bound) remain
+    m, n = 1024, 18
+    a = RngHandle(117).generator().standard_normal((m, n))
+    result = []
+    peak = traced_peak(lambda: result.append(disc_bruteforce(a)))
+    assert peak <= 8 * m * n + 3 * SLICE_BYTES
+    value, sigma = result[0]
+    assert value == np.abs(a @ sigma).max()
 
 
 def test_vdisc_objective_examples():
@@ -181,8 +195,9 @@ def test_discg_frees_the_factor_before_sampling(traced_peak):
 
 def test_discg_column_slices_match_the_whole_block_product():
     # m = 512 takes the block's product in slices of 256 samples, here five
-    # and a partial one of 3; with the identity coupling A L_k is A, and the
-    # estimate is bitwise that of the whole block's product on the same draws.
+    # and a partial one of 3, each drawing its own rows of the sample-major
+    # normals; with the identity coupling A L_k is A, and the estimate is
+    # bitwise that of the whole block's product on one draw of them.
     # Each row of A holds two entries of +-1, so each entry of A xi is one
     # rounded sum, the same in any BLAS kernel: the slices cannot hide in it
     m, n = 512, 6
@@ -193,19 +208,32 @@ def test_discg_column_slices_match_the_whole_block_product():
     for _ in range(2):
         a[np.arange(m), gen.integers(0, n, m)] += gen.choice([-1.0, 1.0], m)
     est = discG_mc(a, np.eye(n), samples, RngHandle(97))
-    xi = RngHandle(97).substream(0).generator().standard_normal((n, samples))
-    vals = np.abs(a @ xi).max(axis=0)
+    xi = RngHandle(97).substream(0).generator().standard_normal((samples, n))
+    vals = np.abs(a @ xi.T).max(axis=0)
     assert est.mean == vals.mean()
     assert est.std_error == vals.std(ddof=1) / math.sqrt(samples)
 
 
 def test_discg_holds_one_column_slice_of_the_product(traced_peak):
     # at m = 512 a block's m x MC_BLOCK product is 32 MiB, and its absolute
-    # value another; sliced, the block's normals, A L_k and one slice remain
+    # value another; sliced, A L_k and one slice's normals and product remain
+    # (the bound still leaves room for a whole block's normals)
     m, n = 512, 16
     a = RngHandle(98).generator().standard_normal((m, n))
     peak = traced_peak(lambda: discG_mc(a, np.eye(n), MC_BLOCK, RngHandle(99)))
     assert peak <= 8 * n * MC_BLOCK + 8 * m * n + 2 * SLICE_BYTES
+
+
+def test_discg_draws_its_normals_one_slice_at_a_time(traced_peak):
+    # at k = 1024 a block's k x MC_BLOCK normals would be 64 MiB; drawn per
+    # slice, the n x n factor and its k live columns (forming A L_k) are the
+    # peak, and sampling holds a slice's normals and two of its products
+    m, n = 8, 1024
+    bound = 8 * n * n + 8 * n * n + 2 * SLICE_BYTES
+    assert 8 * n * MC_BLOCK > bound  # a whole block's normals alone break it
+    a = RngHandle(110).generator().standard_normal((m, n))
+    sigma = np.eye(n)
+    assert traced_peak(lambda: discG_mc(a, sigma, MC_BLOCK, RngHandle(111))) <= bound
 
 
 def test_discg_rank_one_coupling_identity():
@@ -238,14 +266,15 @@ def test_discg_zero_coupling_is_exactly_zero():
 
 def test_discg_planted_coupling_matches_dense_factor():
     # the planted coupling's two pivots are its leading columns, so the
-    # rank-2 sampler uses the first 2 x samples normals that the dense
-    # n x n factor would have multiplied
+    # rank-2 sampler's sample-major normals are those that the dense n x n
+    # factor multiplies on those columns (its other columns are zero)
     n, samples = 102, 1500
     inst = make_planted(12, n, RngHandle(74).generator())
     low = psd_cholesky(inst.sigma)
     for a in (inst.a, RngHandle(75).generator().standard_normal((12, n))):
         est = discG_mc(a, inst.sigma, samples, RngHandle(76))
-        xi = RngHandle(76).substream(0).generator().standard_normal((n, samples))
+        xi = np.zeros((n, samples))
+        xi[:2] = RngHandle(76).substream(0).generator().standard_normal((samples, 2)).T
         dense = np.abs(a @ (low @ xi)).max(axis=0).mean()
         assert abs(est.mean - dense) <= 1e-12
 
@@ -324,13 +353,14 @@ def test_evaluators_take_matrices_through_check_matrix():
 
 def online_discg_loop(vs, us, samples, rng):
     """Reference: the round-by-round recursion acc += v_t g_t over the same
-    blocks, substreams and g = us @ normals as online_discG."""
+    blocks, substreams and g = us @ normals as online_discG, with one
+    sample-major (size x r) draw of normals per block."""
     m, big_t = vs.shape
     sizes = [MC_BLOCK] * (samples // MC_BLOCK) + [samples % MC_BLOCK] * bool(samples % MC_BLOCK)
     sums = np.zeros(big_t)
     sqs = np.zeros(big_t)
     for k, size in enumerate(sizes):
-        g = us @ rng.substream(k).generator().standard_normal((us.shape[1], size))
+        g = us @ rng.substream(k).generator().standard_normal((size, us.shape[1])).T
         acc = np.zeros((m, size))
         for t in range(big_t):
             acc += np.outer(vs[:, t], g[t])
@@ -354,8 +384,8 @@ def online_discg_loop(vs, us, samples, rng):
         (1, 9, 2, 700),
         (0, 6, 2, 700),
         (4, 10, 3, MC_BLOCK + 5),  # two Monte Carlo blocks
-        (16, 9, 4, SLICE_BYTES // (4 * PREFIX_ROUNDS * 16) + 7),  # two sample chunks
-        (32, 9, 4, 2 * SLICE_BYTES // (4 * PREFIX_ROUNDS * 32) + 7),  # three sample chunks
+        (16, 9, 4, 4 * SLICE_BYTES // (8 * 2 * PREFIX_ROUNDS * 16) + 7),  # five sample chunks
+        (32, 9, 4, 8 * SLICE_BYTES // (8 * 2 * PREFIX_ROUNDS * 32) + 7),  # nine sample chunks
         (2048, 6, 3, 2 * 256 + 7),  # three chunks at the 256-column floor
         (16, 128, 11, 20_000),  # criterion 07's sample count
         (4096, 384, 18, 200),  # the longest rounds: float32 error accumulates over 384
@@ -386,7 +416,7 @@ def test_online_discg_pins_the_float32_prefixes():
     est = online_discG(vs, us, samples, RngHandle(72))
     exponent = math.frexp(np.abs(vs).max())[1]
     stack = (np.ldexp(vs, -exponent) * np.tri(big_t)[:, None]).astype(np.float32)
-    normals = RngHandle(72).substream(0).generator().standard_normal((3, samples))
+    normals = RngHandle(72).substream(0).generator().standard_normal((samples, 3)).T
     g = (us @ normals).astype(np.float32)
     cur = np.abs(stack.reshape(big_t * m, big_t) @ g).reshape(big_t, m, samples).max(axis=1)
     assert cur.dtype == np.float32
@@ -419,14 +449,25 @@ def test_online_discg_builds_one_round_block_stack_at_a_time(traced_peak):
 def test_online_discg_forms_g_one_sample_chunk_at_a_time(traced_peak):
     # at m = 300, T = 200 a block's float64 g = us @ normals would take
     # 8 T MC_BLOCK bytes (13 MB), beside its float32 cast; formed per chunk
-    # of 256 samples, the block's r x MC_BLOCK normals and a few chunk
-    # buffers of about SLICE_BYTES remain
+    # of 256 samples, a few chunk buffers of about SLICE_BYTES remain (the
+    # bound still leaves room for a whole block's r x MC_BLOCK normals)
     m, big_t, r, samples = 300, 200, 12, 9000
     bound = 8 * r * MC_BLOCK + 4 * SLICE_BYTES
     assert 8 * big_t * MC_BLOCK > bound  # a whole block's g alone breaks it
     vs = unit_columns(m, big_t, RngHandle(86))
     us = unit_rows(big_t, r, 87)
     assert traced_peak(lambda: online_discG(vs, us, samples, RngHandle(88))) <= bound
+
+
+def test_online_discg_draws_its_normals_one_chunk_at_a_time(traced_peak):
+    # at r = 384 a block's r x MC_BLOCK normals would be 24 MiB; drawn per
+    # chunk of 256 samples, a chunk's normals, g and product buffers remain
+    m, big_t, r = 64, 384, 384
+    bound = 8 * (m * big_t + big_t * r) + 3 * SLICE_BYTES
+    assert 8 * r * MC_BLOCK > bound  # a whole block's normals alone break it
+    vs = unit_columns(m, big_t, RngHandle(112))
+    us = unit_rows(big_t, r, 113)
+    assert traced_peak(lambda: online_discG(vs, us, MC_BLOCK, RngHandle(114))) <= bound
 
 
 def test_online_discg_is_monotone_max_over_prefixes():
@@ -529,7 +570,9 @@ def test_random_signing_baseline():
 
 
 def block_bits(rng, k, n, size):
-    return rng.substream(k).generator().integers(0, 2, size=(n, size), dtype=bool)
+    """Block k's sign bits as random_signing_baseline draws them, one row
+    per sample, transposed to one column per sample."""
+    return rng.substream(k).generator().integers(0, 2, size=(size, n), dtype=bool).T
 
 
 def signing_maxima32(a, bits):
@@ -555,11 +598,11 @@ def test_random_signing_baseline_pins_block_zero_draw():
     # a block in several column slices ending in a partial one: integer
     # entries make every product exact, so the slices cannot hide in rounding
     n = 2000
-    width = SLICE_BYTES // (8 * n) // 8 * 8
+    width = SLICE_BYTES // (4 * n) // 32 * 32
     samples = 5 * width + 3
     a = RngHandle(79).generator().integers(-9, 10, size=(4, n)).astype(float)
     est = random_signing_baseline(a, samples, RngHandle(78))
-    bits = RngHandle(78).substream(0).generator().integers(0, 2, size=(n, samples), dtype=bool)
+    bits = block_bits(RngHandle(78), 0, n, samples)
     vals = np.abs(a @ (1.0 - 2.0 * bits)).max(axis=0)
     assert est.mean == vals.mean()
     assert est.std_error == vals.std(ddof=1) / math.sqrt(samples)
@@ -602,12 +645,23 @@ def test_random_signing_baseline_scales_with_the_matrix(k):
 
 
 def test_random_signing_baseline_holds_one_slice_of_floats(traced_peak):
-    # the rounding-spencer shape: the bits of the block, one slice of float32
-    # 0/1 values and small per-slice products, never the n x size float matrix
+    # the rounding-spencer shape: one slice of bits, their float32 0/1 values
+    # and small per-slice products, never the n x size float matrix (the
+    # bound still leaves room for a whole block's bits)
     m, n, samples = 80, 502, 2000
     a = RngHandle(81).generator().standard_normal((m, n))
     peak = traced_peak(lambda: random_signing_baseline(a, samples, RngHandle(82)))
     assert peak <= n * samples + 2 * SLICE_BYTES
+
+
+def test_random_signing_baseline_draws_its_bits_one_slice_at_a_time(traced_peak):
+    # at n = 4096 a block's n x MC_BLOCK bits would be 32 MiB, beside their
+    # 4 MiB of words; drawn per slice, a slice's bits and float32 copy remain
+    m, n = 8, 4096
+    bound = 8 * m * n + 2 * SLICE_BYTES
+    assert n * MC_BLOCK > bound  # a whole block's bits alone break it
+    a = RngHandle(115).generator().standard_normal((m, n))
+    assert traced_peak(lambda: random_signing_baseline(a, MC_BLOCK, RngHandle(116))) <= bound
 
 
 def test_random_signing_baseline_matches_enumerated_mean():
@@ -663,3 +717,46 @@ def test_monte_carlo_evaluators_need_a_seed():
     ):
         with pytest.raises(TypeError, match="'rng'"):
             estimate()
+
+
+@pytest.mark.parametrize("budget", [1 << 12, 1 << 26])
+def test_no_estimate_depends_on_the_slice_budget(monkeypatch, budget):
+    # a slice draws the next rows of its block's sample-major draw, so the
+    # slicing moves no draw: 2^12 bytes cuts each path into its narrowest
+    # slices (the 256-column floor for online_discG, 32 signings for the
+    # baseline), and 2^26 takes each block whole
+    gen = RngHandle(118).generator()
+    a = gen.standard_normal((64, 16))
+    sigma = coupling_from_units(unit_rows(16, 5, 119))  # rank 5
+    vs = unit_columns(16, 9, RngHandle(120))
+    us = unit_rows(9, 4, 121)
+    signed = gen.standard_normal((20, 101))  # odd n: slices end mid-word
+    small = gen.standard_normal((30, 14))
+    samples = MC_BLOCK + 3001
+    plans = []
+
+    def counted(total, width):
+        plans.append(len(slice_plan(total, width)))
+        return slice_plan(total, width)
+
+    monkeypatch.setattr(evals, "slice_plan", counted)
+
+    def run():
+        plans.clear()
+        return (
+            discG_mc(a, sigma, samples, RngHandle(122)),
+            online_discG(vs, us, samples, RngHandle(123)),
+            random_signing_baseline(signed, samples, RngHandle(124)),
+            disc_bruteforce(small),
+            list(plans),
+        )
+
+    ref = run()
+    monkeypatch.setattr(evals, "SLICE_BYTES", budget)
+    est = run()
+    assert est[4] != ref[4]  # the budget did change the slices
+    for new, old, rel in zip(est[:3], ref[:3], (1e-12, 1e-12, 1e-6)):
+        assert new.mean == pytest.approx(old.mean, rel=rel, abs=0.0)
+        assert new.std_error == pytest.approx(old.std_error, rel=rel, abs=0.0)
+    assert est[3][0] == ref[3][0]
+    assert np.array_equal(est[3][1], ref[3][1])
