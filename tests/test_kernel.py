@@ -172,18 +172,23 @@ def test_kernel_step_dimension_check():
 
 
 def test_kernel_step_mixture_weight_matches_density_ratio():
+    # both forms, each with its own reflection weight: the batch over
+    # 100 000 rows, and the scalar step the walk takes over 50 000 calls
     r, sigma2, t = 2, 0.25, 0.6
     x = np.full((100_000, r), 0.0)
     x[:, 0] = t
-    ys = x + kernel_step_batch(sigma2, x, RngHandle(3).generator())
-    radii = np.linalg.norm(ys, axis=1)
-    frac = float(np.mean(np.abs(radii - (1.0 - t)) < 1e-9))
+    batch = kernel_step_batch(sigma2, x, RngHandle(3).generator())
+    gen = RngHandle(17).generator()
+    scalar = np.array([kernel_step(sigma2, x[0], gen) for _ in range(50_000)])
     law = ChiLaw(r, sigma2)
     p = chi_density(law, 1.0 - t) / chi_density(law, t)
-    se = math.sqrt(p * (1.0 - p) / len(ys))
-    assert abs(frac - p) <= 3.0 * se
-    # everything else stayed at the current radius
-    assert np.all((np.abs(radii - (1.0 - t)) < 1e-9) | (np.abs(radii - t) < 1e-9))
+    for us in (batch, scalar):
+        radii = np.linalg.norm(x[: len(us)] + us, axis=1)
+        frac = float(np.mean(np.abs(radii - (1.0 - t)) < 1e-9))
+        se = math.sqrt(p * (1.0 - p) / len(us))
+        assert abs(frac - p) <= 3.0 * se
+        # everything else stayed at the current radius
+        assert np.all((np.abs(radii - (1.0 - t)) < 1e-9) | (np.abs(radii - t) < 1e-9))
 
 
 def test_double_reflection_is_identity():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from discforge import linalg
+from discforge.chilaw import sigma_star
 from discforge.errors import (
     InconsistentStreamError,
     NormTooLargeError,
@@ -308,6 +309,24 @@ def test_walk_accumulator_stays_gaussian_small():
     sd = 0.5  # sigma_star(2)
     assert np.abs(finals.mean(axis=0)).max() < 4.0 * sd / math.sqrt(runs)
     assert np.abs(finals.var(axis=0, ddof=1) - 0.25).max() < 0.06
+
+
+def test_walk_accumulator_variance_pooled_over_runs():
+    # under the walk's law W_T ~ N(0, sigma_star^2 I), the pooled ratio
+    # rho = sum ||W_T||_F^2 / (runs m r sigma_star^2) is chi^2_n / n with
+    # n = runs m r, so z = (rho - 1) / sqrt(2 / n) is about N(0, 1); a 10%
+    # error in the kernel's reflection weight inflates the variance by
+    # about 6% and moves z by about 9 at this shape
+    m, r, big_t, runs = 32, 3, 200, 500
+    vs = unit_columns(m, big_t, RngHandle(41))
+    total = 0.0
+    for k in range(runs):
+        config = WalkConfig(m=m, r=r, seed=RngHandle(43).substream(k))
+        w = walk_init(config).w + vs @ walk_run(config, vs).us
+        total += float(np.vdot(w, w))
+    n = runs * m * r
+    z = (total / (n * sigma_star(r) ** 2) - 1.0) / math.sqrt(2.0 / n)
+    assert abs(z) <= 4.0
 
 
 def test_single_row_ambient_dimension():
