@@ -209,9 +209,10 @@ def discG_mc(
     Samples in the coupling's rank k: with L_k the k nonzero columns of
     L = psd_cholesky(Sigma), g = L_k xi for xi ~ N(0, I_k), so A L_k is
     formed once and each sample costs k normals and one product with it.
-    A zero coupling (k = 0) estimates exactly 0. Once A L_k is formed the
-    n x n factor is dropped. Each block goes through in slice_plan slices
-    of SLICE_BYTES // (8 max(m, k)) samples, each drawing its cols x k
+    A zero coupling (k = 0) estimates exactly 0. A full-rank L is L_k
+    itself, not a copy, and once A L_k is formed the n x n factor is
+    dropped. Each block goes through in slice_plan slices of
+    SLICE_BYTES // (8 max(m, k)) samples, each drawing its cols x k
     normals sample-major and taking its m x cols product with A L_k,
     absolute value in place: past the factor, A L_k and the per-sample
     values, a call holds a few SLICE_BYTES.
@@ -233,7 +234,8 @@ def discG_mc(
             f"matrix {a.shape} incompatible with coupling {sigma.shape}"
         )
     low = psd_cholesky(sigma)
-    ak = a @ low[:, np.diag(low) > 0.0]
+    live = np.diag(low) > 0.0
+    ak = a @ (low if live.all() else low[:, live])
     del low  # free the n x n factor before the sampling temporaries
     exponent = _scale_exponent(ak)
     np.ldexp(ak, -exponent, out=ak)

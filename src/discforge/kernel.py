@@ -10,7 +10,10 @@ when the variance parameter is at least sigma_star(r)^2.
 
 Each transition takes the variance sigma2 and reads the dimension r from
 its state, and each checks sigma2 against the floor once, on entry, before
-it draws anything.
+it draws anything. Whatever its branch, a transition then draws one
+uniform (the reflection coin) and r standard normals (the slide), so
+kernel_step is kernel_step_batch's one-row case on the same draws; only
+a slide whose normals are parallel to x (probability zero) draws more.
 """
 from __future__ import annotations
 
@@ -77,38 +80,41 @@ def _feasible(t: float, s: float) -> bool:
     return (t_c - one_c) ** 2 <= s_sq + FEAS_ATOL and s_sq <= (t_c + one_c) ** 2 + FEAS_ATOL
 
 
-def _orthogonal_unit(x_hat: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Uniform unit vector orthogonal to x_hat (unit or zero), by projection."""
+def _orthogonal_unit(x_hat: np.ndarray, g: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """The normals g's part orthogonal to x_hat (unit or zero), normalized;
+    g is redrawn from gen while that part is too short to normalize."""
     for _ in range(MAX_REDRAWS):
-        g = gen.standard_normal(x_hat.shape[0])
         w = g - (g @ x_hat) * x_hat
         nw = np.linalg.norm(w)
         if nw > 1e-12:
             return w / nw
+        g = gen.standard_normal(x_hat.shape[0])
     raise InfeasibleSliceError("could not draw a direction orthogonal to x")
 
 
 def slice_sample(x: np.ndarray, s: float, gen: np.random.Generator) -> np.ndarray:
     """Uniform unit step u with ||x + u|| = s.
 
-    For x = 0 the step is uniform on the unit sphere. Otherwise it
-    decomposes into a fixed component along x and a uniform direction
-    orthogonal to it; at the feasibility boundary the orthogonal part
-    vanishes and the slice is a single point.
+    Once the slice is known to be feasible, r normals g are drawn, at a
+    single-point slice too. For x = 0 the step is g/||g||, uniform on the
+    unit sphere. Otherwise it decomposes into a fixed component along x
+    and g's part orthogonal to x, normalized; at the feasibility boundary
+    that part vanishes and the slice is a single point.
     """
     x = np.asarray(x, dtype=float)
     s = float(s)
     t = _norm(x)
     if not _feasible(t, s):
         raise InfeasibleSliceError(f"no unit step from ||x||={t:.6g} reaches radius {s}")
+    g = gen.standard_normal(x.shape[0])
     if t == 0.0:
-        return _orthogonal_unit(x, gen)
+        return _orthogonal_unit(x, g, gen)
     lam = min(1.0, max(-1.0, _axis_offset(t, s)))
     x_hat = x / t
     ortho = 1.0 - lam * lam
     if ortho <= 0.0:
         return lam * x_hat
-    return lam * x_hat + math.sqrt(ortho) * _orthogonal_unit(x_hat, gen)
+    return lam * x_hat + math.sqrt(ortho) * _orthogonal_unit(x_hat, g, gen)
 
 
 def _reflection_weight(r: int, sigma2: float, t: float) -> float:
@@ -120,10 +126,9 @@ def _reflection_weight(r: int, sigma2: float, t: float) -> float:
 
 def kernel_step(sigma2: float, x: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Unit increment u of one kernel transition from the state x in R^r;
-    the next state is x + u.
-
-    A state with a nan or inf entry has a nan or inf norm, which only the
-    slide branch can see; it raises ValueError there.
+    the next state is x + u. A state with a nan or inf entry raises
+    ValueError before the draws. A reflection discards its normals, and
+    a slide from the origin reaches radius 1.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -131,13 +136,13 @@ def kernel_step(sigma2: float, x: np.ndarray, gen: np.random.Generator) -> np.nd
     r = x.shape[0]
     _check_variance(r, sigma2)
     t = _norm(x)
-    if t == 0.0:
-        return slice_sample(x, 1.0, gen)
-    if t < 0.5 or (t < 1.0 and gen.random() < min(_reflection_weight(r, sigma2, t), 1.0)):
-        return x / -t
     if not math.isfinite(t):
         raise ValueError(f"state has non-finite norm {t}")
-    return slice_sample(x, t, gen)
+    coin = gen.random()
+    if 0.0 < t < 0.5 or (0.5 <= t < 1.0 and coin < _reflection_weight(r, sigma2, t)):
+        gen.standard_normal(r)
+        return x / -t
+    return slice_sample(x, t or 1.0, gen)
 
 
 def _check_batch(sigma2: float, xs: np.ndarray) -> np.ndarray:
@@ -150,48 +155,38 @@ def _check_batch(sigma2: float, xs: np.ndarray) -> np.ndarray:
 
 
 def kernel_step_batch(sigma2: float, xs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Unit increments (rows) of one kernel step from each state (row) of xs.
-
-    Distributionally identical to mapping kernel_step over the rows, but
-    vectorized; used by the large stationarity experiments. The rare rows
-    (at the origin, or whose slide draw is parallel to x) go through the
-    scalar slice code. A row whose norm is not finite raises ValueError.
+    """Unit increments (rows) of one kernel step from each state (row) of
+    xs: row i is kernel_step on the i-th of N uniforms and the i-th row of
+    N x r normals, an origin row sliding with x_hat = 0 and lam = 0. A row
+    whose norm is not finite raises ValueError.
     """
     xs = _check_batch(sigma2, xs)
-    n, r = xs.shape
+    r = xs.shape[1]
     t = np.linalg.norm(xs, axis=1)
     if not np.isfinite(t).all():
         raise ValueError("batch has a row with a non-finite norm")
-
-    # reflection weight per row: 1 below radius 1/2, 0 at or above 1
-    mid = (t >= 0.5) & (t < 1.0)
-    p = np.zeros(n)
-    p[t < 0.5] = 1.0
-    tm = t[mid]
-    pm = np.exp((r - 1.0) * (np.log1p(-tm) - np.log(tm)) + (2.0 * tm - 1.0) / (2.0 * sigma2))
-    p[mid] = np.minimum(pm, 1.0)
-
-    coin = gen.random(n)
+    coin = gen.random(xs.shape[0])
     gauss = gen.standard_normal(xs.shape)
+
+    reflect = (t > 0.0) & (t < 0.5)
+    mid = (t >= 0.5) & (t < 1.0)
+    tm = t[mid]
+    weight = np.exp((r - 1.0) * (np.log1p(-tm) - np.log(tm)) + (2.0 * tm - 1.0) / (2.0 * sigma2))
+    reflect[mid] = coin[mid] < weight
+    slide = ~reflect
+
     us = np.empty_like(xs)
-
-    origin = t == 0.0
-    reflect = (coin < p) & ~origin
-    slide = ~reflect & ~origin
-
-    for i in np.flatnonzero(origin):
-        us[i] = slice_sample(xs[i], 1.0, gen)
-
     us[reflect] = xs[reflect] / -t[reflect][:, None]
 
     tv = t[slide]
-    lam = -1.0 / (2.0 * tv)
-    x_hat = xs[slide] / tv[:, None]
+    live = tv > 0.0
+    lam = np.divide(-1.0, 2.0 * tv, out=np.zeros_like(tv), where=live)
+    x_hat = np.divide(xs[slide], tv[:, None], out=np.zeros((tv.size, r)), where=live[:, None])
     g = gauss[slide]
     w = g - np.sum(g * x_hat, axis=1, keepdims=True) * x_hat
     nw = np.linalg.norm(w, axis=1)
     for i in np.flatnonzero(nw <= 1e-12):
-        w[i] = _orthogonal_unit(x_hat[i], gen)
+        w[i] = _orthogonal_unit(x_hat[i], g[i], gen)
         nw[i] = 1.0
     w /= nw[:, None]
     us[slide] = lam[:, None] * x_hat + np.sqrt(1.0 - lam * lam)[:, None] * w

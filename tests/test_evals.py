@@ -226,14 +226,24 @@ def test_discg_holds_one_column_slice_of_the_product(traced_peak):
 
 def test_discg_draws_its_normals_one_slice_at_a_time(traced_peak):
     # at k = 1024 a block's k x MC_BLOCK normals would be 64 MiB; drawn per
-    # slice, the n x n factor and its k live columns (forming A L_k) are the
-    # peak, and sampling holds a slice's normals and two of its products
+    # slice, the n x n factor (forming A L_k) is the peak, and sampling
+    # holds a slice's normals and two of its products
     m, n = 8, 1024
     bound = 8 * n * n + 8 * n * n + 2 * SLICE_BYTES
     assert 8 * n * MC_BLOCK > bound  # a whole block's normals alone break it
     a = RngHandle(110).generator().standard_normal((m, n))
     sigma = np.eye(n)
     assert traced_peak(lambda: discG_mc(a, sigma, MC_BLOCK, RngHandle(111))) <= bound
+
+
+def test_discg_forms_a_l_from_a_full_rank_factor_itself(traced_peak):
+    # CI's flat.mat case: every pivot is positive, so A L is formed from
+    # the factor itself and one n x n array (8 MiB) is the peak; a copy of
+    # its live columns beside it would double that
+    m, n = 8, 1024
+    a = RngHandle(125).generator().standard_normal((m, n))
+    sigma = np.eye(n)
+    assert traced_peak(lambda: discG_mc(a, sigma, MC_BLOCK, RngHandle(126))) <= 8 * n * n + SLICE_BYTES
 
 
 def test_discg_rank_one_coupling_identity():
