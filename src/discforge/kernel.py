@@ -9,11 +9,12 @@ nonzero). The reflection weight chi(1-t)/chi(t) is a probability exactly
 when the variance parameter is at least sigma_star(r)^2.
 
 Each transition takes the variance sigma2 and reads the dimension r from
-its state, and each checks sigma2 against the floor once, on entry, before
-it draws anything. Whatever its branch, a transition then draws one
-uniform (the reflection coin) and r standard normals (the slide), so
-kernel_step is kernel_step_batch's one-row case on the same draws; only
-a slide whose normals are parallel to x (probability zero) draws more.
+its state, and each checks sigma2 and the state's norm once, on entry,
+before it draws anything. kernel_step draws only what its branch needs:
+the reflection coin for 1/2 <= t < 1, and r normals on a slide.
+kernel_step_batch draws N uniforms and then N x r normals whatever each
+row's branch, so the two forms agree in law, not draw for draw. Only a
+slide whose normals are parallel to x (probability zero) draws more.
 """
 from __future__ import annotations
 
@@ -127,8 +128,8 @@ def _reflection_weight(r: int, sigma2: float, t: float) -> float:
 def kernel_step(sigma2: float, x: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Unit increment u of one kernel transition from the state x in R^r;
     the next state is x + u. A state with a nan or inf entry raises
-    ValueError before the draws. A reflection discards its normals, and
-    a slide from the origin reaches radius 1.
+    ValueError before any draw, and a slide from the origin reaches
+    radius 1.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -138,9 +139,7 @@ def kernel_step(sigma2: float, x: np.ndarray, gen: np.random.Generator) -> np.nd
     t = _norm(x)
     if not math.isfinite(t):
         raise ValueError(f"state has non-finite norm {t}")
-    coin = gen.random()
-    if 0.0 < t < 0.5 or (0.5 <= t < 1.0 and coin < _reflection_weight(r, sigma2, t)):
-        gen.standard_normal(r)
+    if 0.0 < t < 0.5 or (0.5 <= t < 1.0 and gen.random() < _reflection_weight(r, sigma2, t)):
         return x / -t
     return slice_sample(x, t or 1.0, gen)
 
@@ -156,9 +155,10 @@ def _check_batch(sigma2: float, xs: np.ndarray) -> np.ndarray:
 
 def kernel_step_batch(sigma2: float, xs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Unit increments (rows) of one kernel step from each state (row) of
-    xs: row i is kernel_step on the i-th of N uniforms and the i-th row of
-    N x r normals, an origin row sliding with x_hat = 0 and lam = 0. A row
-    whose norm is not finite raises ValueError.
+    xs, each row distributed as kernel_step from it. Row i takes the i-th
+    of N uniforms and the i-th row of N x r normals, an origin row sliding
+    with x_hat = 0 and lam = 0. A row whose norm is not finite raises
+    ValueError.
     """
     xs = _check_batch(sigma2, xs)
     r = xs.shape[1]
