@@ -286,6 +286,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     kind = args.kind
+    for flag in [f for f in ("m", "n", "t") if f in args]:  # this kind's shape flags
+        least = int((kind, flag) == ("random-unit-columns", "m"))  # a unit column needs a row
+        value = getattr(args, flag)
+        _check_flag(value >= least, f"--{flag}", f"be at least {least}", value)
     if kind == "identity":
         a = np.eye(args.t)
     elif kind == "random-unit-columns":

@@ -10,11 +10,13 @@ when the variance parameter is at least sigma_star(r)^2.
 
 Each transition takes the variance sigma2 and reads the dimension r from
 its state, and each checks sigma2 and the state's norm once, on entry,
-before it draws anything. kernel_step draws only what its branch needs:
-the reflection coin for 1/2 <= t < 1, and r normals on a slide.
-kernel_step_batch draws N uniforms and then N x r normals whatever each
-row's branch, so the two forms agree in law, not draw for draw. Only a
-slide whose normals are parallel to x (probability zero) draws more.
+before it draws anything. kernel_step and kernel_step_batch are one rule,
+written once (_norm, _reflection_weight, _slide), on two draw schedules:
+kernel_step draws only what its branch needs (the reflection coin for
+1/2 <= t < 1, r normals on a slide), and kernel_step_batch draws N
+uniforms, then N x r normals. On the same coin and normals they return
+the same step. Only a slide whose normals are parallel to x (probability
+zero) draws more.
 """
 from __future__ import annotations
 
@@ -53,14 +55,16 @@ def _check_variance(r: int, sigma2: float) -> None:
 
 
 def _axis_offset(norm_x: float, s: float) -> float:
-    """Signed component along x/||x|| of the unit step reaching radius s."""
-    return ((s - norm_x) * (s + norm_x) - 1.0) / (2.0 * norm_x)
+    """Signed component along x/||x|| of the unit step reaching radius s,
+    ((s - t)(s + t) - 1) / (2t) for t = ||x||, halved first so that no
+    finite radius overflows."""
+    return ((s - norm_x) * (0.5 * s + 0.5 * norm_x) - 0.5) / norm_x
 
 
-def _norm(x: np.ndarray) -> float:
-    """||x|| of a vector; math.hypot scales internally, so no square
-    overflows or underflows for any finite x."""
-    return math.hypot(*x.tolist())
+# The state norm ||x||, called with the state's entries as arguments.
+# math.hypot scales internally, so no square overflows or underflows for
+# any finite state.
+_norm = math.hypot
 
 
 def _feasible(t: float, s: float) -> bool:
@@ -81,48 +85,50 @@ def _feasible(t: float, s: float) -> bool:
     return (t_c - one_c) ** 2 <= s_sq + FEAS_ATOL and s_sq <= (t_c + one_c) ** 2 + FEAS_ATOL
 
 
-def _orthogonal_unit(x_hat: np.ndarray, g: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """The normals g's part orthogonal to x_hat (unit or zero), normalized;
-    g is redrawn from gen while that part is too short to normalize."""
+def _dots(a: np.ndarray, b: np.ndarray):
+    """a @ b for vectors (half a stacked matmul's cost, on the walk's path);
+    for N x r arrays, the row dots as an N x 1 column, each with the bits
+    of a[i] @ b[i]."""
+    return a @ b if a.ndim == 1 else np.matmul(a[:, None, :], b[:, :, None])[:, 0]
+
+
+def _slide(x_hat: np.ndarray, lam, g: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """Unit step lam x_hat + sqrt(1 - lam^2) w / ||w||, w the normals g's part
+    orthogonal to x_hat (unit, or zero with lam = 0 at the origin), for one
+    state (vectors, a float lam) or N (N x r rows, an N x 1 column lam). A
+    state whose w is too short to normalize takes fresh normals from gen,
+    up to MAX_REDRAWS times."""
     for _ in range(MAX_REDRAWS):
-        w = g - (g @ x_hat) * x_hat
-        nw = np.linalg.norm(w)
-        if nw > 1e-12:
-            return w / nw
-        g = gen.standard_normal(x_hat.shape[0])
+        w = g - _dots(g, x_hat) * x_hat
+        nw = np.sqrt(_dots(w, w))
+        ok = nw > 1e-12
+        if ok is np.True_ or ok.all():  # one state's ok is np.True_: no array reduction
+            return lam * x_hat + np.sqrt(1.0 - lam * lam) * (w / nw)
+        short = np.broadcast_to(~ok, g.shape)
+        g = g.copy()
+        np.place(g, short, gen.standard_normal(np.count_nonzero(short)))
     raise InfeasibleSliceError("could not draw a direction orthogonal to x")
 
 
 def slice_sample(x: np.ndarray, s: float, gen: np.random.Generator) -> np.ndarray:
-    """Uniform unit step u with ||x + u|| = s.
-
-    Once the slice is known to be feasible, r normals g are drawn, at a
-    single-point slice too. For x = 0 the step is g/||g||, uniform on the
-    unit sphere. Otherwise it decomposes into a fixed component along x
-    and g's part orthogonal to x, normalized; at the feasibility boundary
-    that part vanishes and the slice is a single point.
-    """
+    """Uniform unit step u with ||x + u|| = s: once the slice is known to
+    be feasible, the slide of r fresh normals g, at a single-point slice
+    too. For x = 0 the step is g/||g||, uniform on the unit sphere."""
     x = np.asarray(x, dtype=float)
     s = float(s)
-    t = _norm(x)
+    t = _norm(*x.tolist())
     if not _feasible(t, s):
         raise InfeasibleSliceError(f"no unit step from ||x||={t:.6g} reaches radius {s}")
     g = gen.standard_normal(x.shape[0])
-    if t == 0.0:
-        return _orthogonal_unit(x, g, gen)
-    lam = min(1.0, max(-1.0, _axis_offset(t, s)))
-    x_hat = x / t
-    ortho = 1.0 - lam * lam
-    if ortho <= 0.0:
-        return lam * x_hat
-    return lam * x_hat + math.sqrt(ortho) * _orthogonal_unit(x_hat, g, gen)
+    lam, x_hat = (min(1.0, max(-1.0, _axis_offset(t, s))), x / t) if t else (0.0, x)
+    return _slide(x_hat, lam, g, gen)
 
 
-def _reflection_weight(r: int, sigma2: float, t: float) -> float:
+def _reflection_weight(r: int, sigma2: float, t, xp):
     """Mixture weight chi(1-t)/chi(t) for t in [1/2, 1), unclamped: at a
     variance _check_variance admits, it exceeds 1 by at most
-    (4/3)(r - 1) FLOOR_RTOL^(3/2)."""
-    return math.exp((r - 1.0) * (math.log1p(-t) - math.log(t)) + (2.0 * t - 1.0) / (2.0 * sigma2))
+    (4/3)(r - 1) FLOOR_RTOL^(3/2). xp is math for a float, np for an array."""
+    return xp.exp((r - 1.0) * (xp.log1p(-t) - xp.log(t)) + (2.0 * t - 1.0) / (2.0 * sigma2))
 
 
 def kernel_step(sigma2: float, x: np.ndarray, gen: np.random.Generator) -> np.ndarray:
@@ -136,10 +142,10 @@ def kernel_step(sigma2: float, x: np.ndarray, gen: np.random.Generator) -> np.nd
         raise DimMismatchError(f"state has shape {x.shape}, expected a vector")
     r = x.shape[0]
     _check_variance(r, sigma2)
-    t = _norm(x)
+    t = _norm(*x.tolist())
     if not math.isfinite(t):
         raise ValueError(f"state has non-finite norm {t}")
-    if 0.0 < t < 0.5 or (0.5 <= t < 1.0 and gen.random() < _reflection_weight(r, sigma2, t)):
+    if 0.0 < t < 0.5 or (0.5 <= t < 1.0 and gen.random() < _reflection_weight(r, sigma2, t, math)):
         return x / -t
     return slice_sample(x, t or 1.0, gen)
 
@@ -156,13 +162,13 @@ def _check_batch(sigma2: float, xs: np.ndarray) -> np.ndarray:
 def kernel_step_batch(sigma2: float, xs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Unit increments (rows) of one kernel step from each state (row) of
     xs, each row distributed as kernel_step from it. Row i takes the i-th
-    of N uniforms and the i-th row of N x r normals, an origin row sliding
-    with x_hat = 0 and lam = 0. A row whose norm is not finite raises
-    ValueError.
+    of N uniforms and the i-th row of N x r normals, and given the coin and
+    normals kernel_step would draw, it returns kernel_step's step. A row
+    whose norm is not finite raises ValueError.
     """
     xs = _check_batch(sigma2, xs)
     r = xs.shape[1]
-    t = np.linalg.norm(xs, axis=1)
+    t = np.fromiter(map(_norm, *xs.T.tolist()), float, xs.shape[0])
     if not np.isfinite(t).all():
         raise ValueError("batch has a row with a non-finite norm")
     coin = gen.random(xs.shape[0])
@@ -170,27 +176,16 @@ def kernel_step_batch(sigma2: float, xs: np.ndarray, gen: np.random.Generator) -
 
     reflect = (t > 0.0) & (t < 0.5)
     mid = (t >= 0.5) & (t < 1.0)
-    tm = t[mid]
-    weight = np.exp((r - 1.0) * (np.log1p(-tm) - np.log(tm)) + (2.0 * tm - 1.0) / (2.0 * sigma2))
-    reflect[mid] = coin[mid] < weight
+    reflect[mid] = coin[mid] < _reflection_weight(r, sigma2, t[mid], np)
     slide = ~reflect
 
     us = np.empty_like(xs)
     us[reflect] = xs[reflect] / -t[reflect][:, None]
-
-    tv = t[slide]
+    tv = t[slide][:, None]
     live = tv > 0.0
-    lam = np.divide(-1.0, 2.0 * tv, out=np.zeros_like(tv), where=live)
-    x_hat = np.divide(xs[slide], tv[:, None], out=np.zeros((tv.size, r)), where=live[:, None])
-    g = gauss[slide]
-    w = g - np.sum(g * x_hat, axis=1, keepdims=True) * x_hat
-    nw = np.linalg.norm(w, axis=1)
-    for i in np.flatnonzero(nw <= 1e-12):
-        w[i] = _orthogonal_unit(x_hat[i], g[i], gen)
-        nw[i] = 1.0
-    w /= nw[:, None]
-    us[slide] = lam[:, None] * x_hat + np.sqrt(1.0 - lam * lam)[:, None] * w
-
+    lam = np.divide(-0.5, tv, out=np.zeros_like(tv), where=live)
+    x_hat = np.divide(xs[slide], tv, out=np.zeros((tv.size, r)), where=live)
+    us[slide] = _slide(x_hat, lam, gauss[slide], gen)
     return us
 
 

@@ -12,14 +12,13 @@ import pytest
 from scipy.stats import norm
 
 from discforge.chilaw import ChiLaw, chi_cdf, sigma_star, ratio_condition_holds
-from discforge.cli import BANASZCZYK_FACTOR, bench_per_round
+from discforge.cli import BANASZCZYK_FACTOR, _banaszczyk_trial, bench_per_round
 from discforge.errors import InconsistentStreamError, InfeasibleTriangleError
 from discforge.evals import (
     coupling_from_signing,
     coupling_from_units,
     discG_mc,
     disc_bruteforce,
-    online_discG,
     triangle_rank2,
     vdisc_objective,
     vdisc_objective_units,
@@ -214,12 +213,9 @@ def test_criterion_07_online_gaussian_banaszczyk():
     threshold = BANASZCZYK_FACTOR * math.sqrt(math.log(2.0 * m * big_t / delta))
     estimates = []
     for k in range(trials):
-        h = SEED.substream(700).substream(k)
-        vs = unit_columns(m, big_t, h.substream(1))
-        run = walk_run(WalkConfig(m=m, r=r, seed=h.substream(2)), vs)
-        est = online_discG(vs, run.us, samples, h.substream(3))
-        assert est.std_error < 0.05
-        estimates.append(est.mean)
+        trial = _banaszczyk_trial(SEED.substream(700).substream(k), m, big_t, r, samples)
+        assert trial["std_error"] < 0.05
+        estimates.append(trial["estimate"])
     hits = int(np.sum(np.asarray(estimates) <= threshold))
     assert hits >= math.ceil(0.95 * trials)
     elapsed = time.perf_counter() - t0

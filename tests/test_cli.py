@@ -624,7 +624,17 @@ EVAL_SAMPLING = ["--samples", "10", "--seed", "1"]
         ([*STATIONARITY, "--r", "1"], "r=1"),
         ([*STATIONARITY, "--sigma", "0.4"], "below the admissible floor"),
         (["gen", "random-unit-columns", "--m", "0", "--t", "3", "--seed", "1",
-          "--out", "z.mat"], "m=0"),
+          "--out", "z.mat"], "--m must be at least 1, got 0"),
+        # every gen shape flag is named when it is negative
+        (["gen", "identity", "--t", "-1", "--out", "z.mat"], "--t must be at least 0, got -1"),
+        (["gen", "gaussian-dense", "--m", "-2", "--n", "3", "--seed", "1", "--out", "z.mat"],
+         "--m must be at least 0, got -2"),
+        (["gen", "gaussian-dense", "--m", "2", "--n", "-1", "--seed", "1", "--out", "z.mat"],
+         "--n must be at least 0, got -1"),
+        (["gen", "random-unit-columns", "--m", "2", "--t", "-1", "--seed", "1",
+          "--out", "z.mat"], "--t must be at least 0, got -1"),
+        (["gen", "planted", "--m", "-1", "--n", "6", "--seed", "1", "--out", "z.mat"],
+         "--m must be at least 0, got -1"),
         # each eval op names the file its evaluator rejects
         (["eval", "online-discg", "--input", "a.mat", "--stream", "rows4.mat", *EVAL_SAMPLING],
          "error: rows4.mat: columns (2, 3) incompatible with stream rows (4, 4)"),
@@ -644,7 +654,9 @@ EVAL_SAMPLING = ["--samples", "10", "--seed", "1"]
         "runs-5", "runs-50", "banaszczyk-m-0", "banaszczyk-t-0",
         "banaszczyk-samples-0", "discg-samples-0", "online-discg-samples-0",
         "walk-rank-1", "stationarity-r-1", "stationarity-sigma-below-floor",
-        "gen-unit-columns-m-0", "online-discg-stream-rows", "online-discg-stream-not-unit",
+        "gen-unit-columns-m-0", "gen-identity-t-negative", "gen-dense-m-negative",
+        "gen-dense-n-negative", "gen-unit-columns-t-negative", "gen-planted-m-negative",
+        "online-discg-stream-rows", "online-discg-stream-not-unit",
         "vdisc-units-rows", "vdisc-units-not-unit", "discs-point-length", "discs-point-off-sphere",
     ],
 )

@@ -110,9 +110,9 @@ def test_state_norm_measured_once_per_call(monkeypatch):
     calls = []
     norm = kernel._norm
 
-    def counted(x):
+    def counted(*x):
         calls.append(1)
-        return norm(x)
+        return norm(*x)
 
     monkeypatch.setattr(kernel, "_norm", counted)
     gen = RngHandle(11).generator()
@@ -257,16 +257,61 @@ def test_batch_matches_scalar_in_law():
 
 
 class _Scripted:
-    """Stand-in generator: a coin of 0.99 and the given normals in turn."""
+    """Stand-in generator: the given coin (a float, or one per row) and
+    the given normals in turn."""
 
-    def __init__(self, normals):
+    def __init__(self, normals, coin=0.99):
         self.normals = list(normals)
+        self.coin = coin
 
     def random(self, size=None):
-        return 0.99 if size is None else np.full(size, 0.99)
+        return self.coin if size is None else np.broadcast_to(self.coin, size).copy()
 
     def standard_normal(self, size):
         return np.reshape(np.array(self.normals.pop(0), dtype=float), size)
+
+
+# one state per kernel branch at r = 3 and sigma2 = 1/4, where the
+# reflection weight at t = 0.6 is 0.66: (state, coin, normals, radius
+# after the step)
+BRANCHES = [
+    pytest.param([0.0, 0.0, 0.0], 0.5, [[0.3, -1.2, 0.4]], 1.0, id="origin"),
+    pytest.param([0.1, -0.2, 0.15], 0.5, [[0.3, -1.2, 0.4]], 1.0 - math.sqrt(0.0725), id="inner"),
+    pytest.param([0.36, 0.48, 0.0], 0.01, [[0.3, -1.2, 0.4]], 0.4, id="coin-reflects"),
+    pytest.param([0.36, 0.48, 0.0], 0.99, [[0.3, -1.2, 0.4]], 0.6, id="coin-slides"),
+    pytest.param([0.3, 0.4, 0.0], 0.99, [[0.3, -1.2, 0.4]], 0.5, id="half"),
+    pytest.param([0.6, 0.8, 0.0], 0.5, [[0.3, -1.2, 0.4]], 1.0, id="one"),
+    pytest.param([1.2, 1.6, 0.0], 0.5, [[0.3, -1.2, 0.4]], 2.0, id="two"),
+    pytest.param([1e200, 1e200, 0.0], 0.5, [[0.3, -1.2, 0.4]], math.sqrt(2.0) * 1e200, id="1e200"),
+    pytest.param([1e308, 0.0, 0.0], 0.5, [[0.3, -1.2, 0.4]], 1e308, id="1e308"),
+    pytest.param([1e-200, 1e-200, 0.0], 0.5, [[0.3, -1.2, 0.4]], 1.0, id="1e-200"),
+    pytest.param([2.0, 0.0, 0.0], 0.5, [[4.0, 0.0, 0.0], [0.0, 3.0, 0.0]], 2.0, id="redraw"),
+]
+
+
+@pytest.mark.parametrize("x, coin, normals, radius", BRANCHES)
+def test_both_forms_take_one_rule_on_the_same_draws(x, coin, normals, radius):
+    # handed the same coin and normals, kernel_step and the one-row batch
+    # return the same step, whichever branch the state takes
+    x = np.array(x)
+    scalar = kernel_step(0.25, x, _Scripted(normals, coin))
+    batch = kernel_step_batch(0.25, x[None, :], _Scripted(normals, coin))[0]
+    assert np.abs(scalar - batch).max() <= 1e-12
+    assert abs(np.linalg.norm(scalar) - 1.0) <= 1e-12
+    assert abs(math.hypot(*(x + scalar)) / radius - 1.0) <= 1e-12
+
+
+def test_a_batch_of_every_branch_steps_each_row_as_the_scalar_form():
+    # the batch draws every row's normals at once, then the redraw's
+    cases = [case.values for case in BRANCHES]
+    xs = np.array([x for x, *_ in cases])
+    coins = np.array([coin for _, coin, *_ in cases])
+    script = [[drawn[0] for _, _, drawn, _ in cases]] + [
+        more for _, _, drawn, _ in cases for more in drawn[1:]
+    ]
+    us = kernel_step_batch(0.25, xs, _Scripted(script, coins))
+    for u, (x, coin, drawn, _) in zip(us, cases):
+        assert np.abs(u - kernel_step(0.25, np.array(x), _Scripted(drawn, coin))).max() <= 1e-12
 
 
 @pytest.mark.parametrize("x", [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
@@ -344,5 +389,9 @@ def test_reflection_weight_at_the_slack_floor_stays_a_probability(r):
     delta = FLOOR_RTOL
     sigma2 = sigma_star(r) ** 2 * (1.0 - delta)
     grid = np.concatenate([np.linspace(0.5, 1.0, 10_001)[:-1], [0.5 + math.sqrt(delta) / 2.0]])
-    worst = max(kernel._reflection_weight(r, sigma2, float(t)) for t in grid)
-    assert worst <= 1.0 + 1e-9
+    # the walk's math form, float by float, and the batch's numpy form
+    scalar = np.array([kernel._reflection_weight(r, sigma2, float(t), math) for t in grid])
+    batch = kernel._reflection_weight(r, sigma2, grid, np)
+    assert max(scalar.max(), batch.max()) <= 1.0 + 1e-9
+    # an ulp of either log is scaled by r - 1 in the exponent
+    assert np.abs(batch - scalar).max() <= 1e-15 * r
